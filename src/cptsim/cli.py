@@ -122,61 +122,47 @@ def _float_list(obj, name: str) -> list[float]:
     return out
 
 
-def _positive_rates(vals: list[float], name: str):
-    for i, g in enumerate(vals):
-        if g <= 0.0:
-            raise ConfigError(f"{name}[{i}] must be positive, got {g}")
+_MODEL_ARRAYS = {
+    "lambda": ("detuning", "rabi_re", "rabi_im", "gamma"),
+    "three_scale": ("lambda_g", "mu", "u_re", "u_im", "detuning", "gamma"),
+}
 
 
 def _model_from(obj) -> LambdaParams | ThreeScaleParams:
     if not isinstance(obj, dict):
         raise ConfigError("model must be an object")
     kind = _require(obj, "type", "model.")
-    if kind == "lambda":
-        _reject_unknown(obj, {"type", "detuning", "rabi_re", "rabi_im", "gamma"}, "model.")
-        detuning = _float_list(_require(obj, "detuning", "model."), "model.detuning")
-        rabi_re = _float_list(_require(obj, "rabi_re", "model."), "model.rabi_re")
-        rabi_im = _float_list(_require(obj, "rabi_im", "model."), "model.rabi_im")
-        gamma = _float_list(_require(obj, "gamma", "model."), "model.gamma")
-        if not (len(detuning) == len(rabi_re) == len(rabi_im) == len(gamma)):
-            raise ConfigError("model arrays must share one length")
-        _positive_rates(gamma, "model.gamma")
-        return LambdaParams(
-            detuning=tuple(detuning),
-            rabi=tuple(complex(re, im) for re, im in zip(rabi_re, rabi_im)),
-            gamma=tuple(gamma),
-        )
-    if kind == "three_scale":
-        _reject_unknown(
-            obj,
-            {"type", "lambda_e", "lambda_g", "mu", "u_re", "u_im", "detuning", "gamma"},
-            "model.",
-        )
+    if not isinstance(kind, str) or kind not in _MODEL_ARRAYS:
+        raise ConfigError(f"model.type must be 'lambda' or 'three_scale', got {kind!r}")
+    scalars = ("lambda_e",) if kind == "three_scale" else ()
+    _reject_unknown(obj, {"type", *scalars, *_MODEL_ARRAYS[kind]}, "model.")
+    if scalars:
         lambda_e = _require(obj, "lambda_e", "model.")
         if isinstance(lambda_e, bool) or not isinstance(lambda_e, (int, float)):
             raise ConfigError("model.lambda_e must be a number")
-        lambda_g = _float_list(_require(obj, "lambda_g", "model."), "model.lambda_g")
-        mu = _float_list(_require(obj, "mu", "model."), "model.mu")
-        u_re = _float_list(_require(obj, "u_re", "model."), "model.u_re")
-        u_im = _float_list(_require(obj, "u_im", "model."), "model.u_im")
-        detuning = _float_list(_require(obj, "detuning", "model."), "model.detuning")
-        gamma = _float_list(_require(obj, "gamma", "model."), "model.gamma")
-        lengths = {len(lambda_g), len(mu), len(u_re), len(u_im), len(detuning), len(gamma)}
-        if len(lengths) != 1:
-            raise ConfigError("model arrays must share one length")
-        _positive_rates(gamma, "model.gamma")
-        try:
-            return ThreeScaleParams(
-                lambda_e=float(lambda_e),
-                lambda_g=tuple(lambda_g),
-                mu=tuple(mu),
-                u_amp=tuple(complex(re, im) for re, im in zip(u_re, u_im)),
-                detuning=tuple(detuning),
-                gamma=tuple(gamma),
+    arrays = {
+        key: _float_list(_require(obj, key, "model."), f"model.{key}")
+        for key in _MODEL_ARRAYS[kind]
+    }
+    if len({len(vals) for vals in arrays.values()}) != 1:
+        raise ConfigError("model arrays must share one length")
+    try:
+        if kind == "lambda":
+            return LambdaParams(
+                detuning=arrays["detuning"],
+                rabi=tuple(map(complex, arrays["rabi_re"], arrays["rabi_im"])),
+                gamma=arrays["gamma"],
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"model.type must be 'lambda' or 'three_scale', got {kind!r}")
+        return ThreeScaleParams(
+            lambda_e=lambda_e,
+            lambda_g=arrays["lambda_g"],
+            mu=arrays["mu"],
+            u_amp=tuple(map(complex, arrays["u_re"], arrays["u_im"])),
+            detuning=arrays["detuning"],
+            gamma=arrays["gamma"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"model.{exc}") from exc
 
 
 def _initial_state_from(obj) -> str | tuple:
@@ -382,10 +368,9 @@ def _resolve_t_end(config: RunConfig, p: LambdaParams) -> float:
     return config.t_end
 
 
-def _timescale_params(config: RunConfig) -> LambdaParams:
-    if isinstance(config.model, LambdaParams):
-        return config.model
-    return rwa_effective(config.model)
+def _fixed_dt(config: RunConfig) -> float | None:
+    """The configured step (always positive), or None when dt is 'auto'."""
+    return config.dt if isinstance(config.dt, float) else None
 
 
 def _full_initial_state(config: RunConfig, n_ground: int) -> np.ndarray:
@@ -451,74 +436,58 @@ def _traj_meta(prefix: str, traj) -> list[tuple[str, str]]:
     ]
 
 
-def _run_simulate(config: RunConfig):
-    if isinstance(config.model, ThreeScaleParams):
-        p3 = _three_scale_params(config)
-        m = build_three_scale(p3)
-        t_end = _resolve_t_end(config, rwa_effective(p3))
-        rho0 = _full_initial_state(config, p3.n_ground)
-        dt = config.dt if isinstance(config.dt, float) else auto_dt(m, t_end)
-        traj = integrate_driven(m, rho0, t_end, dt, config.sample_every)
-        n = p3.n_ground
-    else:
-        p = _lambda_params(config)
-        m = build_two_scale(p)
-        t_end = _resolve_t_end(config, p)
-        rho0 = _full_initial_state(config, p.n_ground)
-        dt = config.dt if isinstance(config.dt, float) else auto_dt(m, t_end)
-        traj = integrate(m, rho0, t_end, dt, config.sample_every)
-        n = p.n_ground
-    pops = traj.populations()
+def _simulate_output(traj, pops: np.ndarray):
+    """Artifacts of simulate-full and simulate-slow; pops has the excited column first."""
+    n = pops.shape[1] - 1
     header = "t,y,pop_e," + ",".join(f"pop_g{k}" for k in range(1, n + 1))
-    rows = [
-        [traj.times[i], traj.outputs[i]] + list(pops[i]) for i in range(len(traj.times))
-    ]
-    meta = _traj_meta("", traj)
+    rows = [[traj.times[i], traj.outputs[i]] + list(pops[i]) for i in range(len(traj.times))]
     summary = [f"y_final: {_fmt(traj.outputs[-1])}", f"y_max: {_fmt(traj.outputs.max())}"]
-    return header, rows, meta, summary
+    return header, rows, _traj_meta("", traj), summary
+
+
+def _run_simulate(config: RunConfig):
+    model = config.model
+    if isinstance(model, ThreeScaleParams):
+        m, integrator, p = build_three_scale(model), integrate_driven, rwa_effective(model)
+    else:
+        m, integrator, p = build_two_scale(model), integrate, model
+    t_end = _resolve_t_end(config, p)
+    rho0 = _full_initial_state(config, p.n_ground)
+    dt = _fixed_dt(config) or auto_dt(m, t_end)
+    traj = integrator(m, rho0, t_end, dt, config.sample_every)
+    return _simulate_output(traj, traj.populations())
 
 
 def _run_simulate_slow(config: RunConfig):
     p = _lambda_params(config)
-    rm = reduce_model(build_two_scale(p))
-    m = as_lindblad(rm)
+    m = as_lindblad(reduce_model(build_two_scale(p)))
     t_end = _resolve_t_end(config, p)
     rho0_full = _full_initial_state(config, p.n_ground)
     # project onto the slow variable; ground-supported states pass through
     rho0 = split_slow_fast(rho0_full, p.gamma).rho_s[1:, 1:]
-    dt = config.dt if isinstance(config.dt, float) else auto_dt(m, t_end)
+    dt = _fixed_dt(config) or auto_dt(m, t_end)
     traj = integrate(m, rho0, t_end, dt, config.sample_every)
     pops = traj.populations()
-    n = p.n_ground
-    header = "t,y,pop_e," + ",".join(f"pop_g{k}" for k in range(1, n + 1))
-    rows = [
-        [traj.times[i], traj.outputs[i], 0.0] + list(pops[i]) for i in range(len(traj.times))
-    ]
-    meta = _traj_meta("", traj)
-    summary = [f"y_final: {_fmt(traj.outputs[-1])}", f"y_max: {_fmt(traj.outputs.max())}"]
-    return header, rows, meta, summary
+    return _simulate_output(traj, np.column_stack([np.zeros(len(pops)), pops]))
 
 
-def _compare_runs(config: RunConfig, rho0_ground: np.ndarray):
-    p = _lambda_params(config)
-    t_end = _resolve_t_end(config, p)
-    if isinstance(config.dt, float):
-        dt = config.dt
-    else:
-        m_full = build_two_scale(p)
-        dt = min(auto_dt(m_full, t_end), auto_dt(as_lindblad(reduce_model(m_full)), t_end))
-    return compare_full_vs_slow(p, rho0_ground, t_end, dt, config.sample_every)
-
-
-def _run_compare(config: RunConfig):
-    p = _lambda_params(config)
-    result = _compare_runs(config, _ground_initial_state(config, p))
+def _compare_output(config: RunConfig, p: LambdaParams, rho0_ground: np.ndarray):
+    """Full and reduced runs on the config's clock, with their CSV table and meta."""
+    result = compare_full_vs_slow(
+        p, rho0_ground, _resolve_t_end(config, p), _fixed_dt(config), config.sample_every
+    )
     header = "t,y_full,y_slow,dist_frobenius"
     rows = [
         [result.full.times[i], result.full.outputs[i], result.slow.outputs[i], result.distances[i]]
         for i in range(len(result.full.times))
     ]
     meta = _traj_meta("full_", result.full) + _traj_meta("slow_", result.slow)
+    return result, header, rows, meta
+
+
+def _run_compare(config: RunConfig):
+    p = _lambda_params(config)
+    result, header, rows, meta = _compare_output(config, p, _ground_initial_state(config, p))
     summary = [
         f"T_s: {_fmt(slow_timescale(p))}",
         f"dist_max: {_fmt(result.distances.max())}",
@@ -556,8 +525,7 @@ def _run_reduce(config: RunConfig):
 def _run_sweep(config: RunConfig):
     p = _lambda_params(config)
     t_end_slow = _resolve_t_end(config, p)
-    dt_policy = config.dt if isinstance(config.dt, float) else "auto"
-    result = epsilon_sweep(p, config.sweep_scales, t_end_slow, dt_policy)
+    result = epsilon_sweep(p, config.sweep_scales, t_end_slow, _fixed_dt(config))
     header = "epsilon,sup_distance"
     rows = [[result.epsilons[i], result.sup_distances[i]] for i in range(len(result.epsilons))]
     meta = [("scale_factors", " ".join(_fmt(s) for s in result.scale_factors))]
@@ -574,8 +542,7 @@ def _run_sweep(config: RunConfig):
 def _run_rwa_check(config: RunConfig):
     p3 = _three_scale_params(config)
     t_end = _resolve_t_end(config, rwa_effective(p3))
-    dt = config.dt if isinstance(config.dt, float) else None
-    result = rwa_comparison(p3, t_end, dt, config.sample_every)
+    result = rwa_comparison(p3, t_end, _fixed_dt(config), config.sample_every)
     header = "t,pop_e_driven,pop_e_rwa,abs_diff"
     pe_d = result.driven.excited_population
     pe_r = result.rwa.excited_population
@@ -601,15 +568,9 @@ def _run_dark_state_check(config: RunConfig):
     rho_dark = np.outer(dark, dark.conj())
     gen_norm = equilibrium_check(rm, rho_dark)
     y_dark = slow_output(rm, rho_dark)
-    result = _compare_runs(config, rho_dark)
-    header = "t,y_full,y_slow,dist_frobenius"
-    rows = [
-        [result.full.times[i], result.full.outputs[i], result.slow.outputs[i], result.distances[i]]
-        for i in range(len(result.full.times))
-    ]
+    result, header, rows, meta = _compare_output(config, p, rho_dark)
     y_slow_max = max(slow_output(rm, rho) for rho in result.slow.states)
     y_full_max = float(result.full.outputs.max())
-    meta = _traj_meta("full_", result.full) + _traj_meta("slow_", result.slow)
     summary = [
         f"generator_norm: {_fmt(gen_norm)}",
         f"generator_norm<=1e-13: {'PASS' if gen_norm <= 1e-13 else 'FAIL'}",
@@ -717,11 +678,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", help="output directory (overrides output_path)")
         p.add_argument("--dt", type=float, help="integration step (overrides dt)")
-        p.add_argument(
-            "--seed",
-            type=int,
-            help="reserved for randomized property tests; experiments ignore it",
-        )
     return parser
 
 
@@ -745,7 +701,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationError, ValueError) as exc:
+    except (IntegrationError, ValueError, OverflowError, FloatingPointError) as exc:
+        # np.linalg.LinAlgError is a ValueError
         print(f"error: computation failed: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

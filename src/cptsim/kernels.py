@@ -3,34 +3,16 @@
 States are row-major vec(rho) of length d^2; generators are d^2 x d^2
 complex matrices.  The loops carry per-step Hermitian projection and
 trace renormalization so long runs stay on the density-matrix manifold.
-
-The implementations are plain numpy functions compiled with numba when
-available.  Set the environment variable CPTSIM_NO_NUMBA=1 to force the
-uncompiled path; kernels are also importable under their *_numpy names
-for side-by-side benchmarking.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-NUMBA_DISABLE_ENV = "CPTSIM_NO_NUMBA"
-
-try:
-    if os.environ.get(NUMBA_DISABLE_ENV, "").strip() not in ("", "0"):
-        raise ImportError("numba disabled via " + NUMBA_DISABLE_ENV)
-    import numba
-
-    NUMBA_ENABLED = True
-except ImportError:
-    numba = None
-    NUMBA_ENABLED = False
 
 
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Kernel implementation, recorded in Trajectory.meta and summary.txt."""
+    return "numpy"
 
 
 def transpose_indices(dim: int) -> np.ndarray:
@@ -53,7 +35,7 @@ def sample_indices(n_steps: int, sample_every: int) -> np.ndarray:
     return idx
 
 
-def _rk4_superop_impl(lmat, v0, dt, n_steps, sample_idx, trans_idx, diag_idx, renorm_tol):
+def rk4_superop(lmat, v0, dt, n_steps, sample_idx, trans_idx, diag_idx, renorm_tol):
     """RK4 on dv/dt = L v with Hermitian projection and trace control.
 
     Returns (samples, n_renorm, max_drift): recorded states at the
@@ -94,7 +76,7 @@ def _rk4_superop_impl(lmat, v0, dt, n_steps, sample_idx, trans_idx, diag_idx, re
     return out, n_renorm, max_drift
 
 
-def _rk4_superop_driven_impl(
+def rk4_superop_driven(
     l0, l1, u_re, u_im, nu, v0, dt, n_steps, sample_idx, trans_idx, diag_idx, renorm_tol
 ):
     """RK4 on dv/dt = (L0 + u(t) L1) v with the same projection steps.
@@ -145,14 +127,3 @@ def _rk4_superop_driven_impl(
             out[ptr] = v
             ptr += 1
     return out, n_renorm, max_drift
-
-
-rk4_superop_numpy = _rk4_superop_impl
-rk4_superop_driven_numpy = _rk4_superop_driven_impl
-
-if NUMBA_ENABLED:
-    rk4_superop = numba.njit(cache=True)(_rk4_superop_impl)
-    rk4_superop_driven = numba.njit(cache=True)(_rk4_superop_driven_impl)
-else:
-    rk4_superop = _rk4_superop_impl
-    rk4_superop_driven = _rk4_superop_driven_impl

@@ -32,29 +32,6 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def basis_ket(dim: int, index: int) -> np.ndarray:
-    """Standard basis ket |index> in a dim-level space."""
-    if not 0 <= index < dim:
-        raise ValueError(f"index {index} out of range for dim {dim}")
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
-    return v
-
-
-def ket_bra(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Outer product |a><b|."""
-    a = as_complex(a)
-    b = as_complex(b)
-    return np.outer(a, b.conj())
-
-
-def excited_projector(dim: int) -> np.ndarray:
-    """P = |e><e| in the e-first basis."""
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    p[0, 0] = 1.0
-    return p
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[A, B] = AB - BA."""
     a = _check_square(a, "A")
@@ -151,11 +128,3 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = x @ x.conj().T
     return rho / np.trace(rho).real
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary via QR with phase fixing."""
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(x)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))

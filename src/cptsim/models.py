@@ -93,6 +93,8 @@ class ThreeScaleParams:
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_e", float(self.lambda_e))
+        if not np.isfinite(self.lambda_e):
+            raise ValueError(f"lambda_e must be finite, got {self.lambda_e}")
         object.__setattr__(self, "lambda_g", _as_float_tuple(self.lambda_g, "lambda_g"))
         object.__setattr__(self, "mu", _as_float_tuple(self.mu, "mu"))
         object.__setattr__(self, "u_amp", _as_complex_tuple(self.u_amp, "u_amp"))
@@ -284,22 +286,6 @@ def rwa_effective(p: ThreeScaleParams) -> LambdaParams:
             stacklevel=2,
         )
     return LambdaParams(detuning=p.detuning, rabi=rabi, gamma=p.gamma)
-
-
-def output_full(m: LindbladModel, rho: np.ndarray) -> float:
-    """Photon count rate y = sum_k rate_k Tr(Q_k^dag Q_k rho), clipped at zero.
-
-    Values in [-1e-12, 0) are rounded-off negatives and map to 0.
-    """
-    rho = _check_square(rho, "rho")
-    if rho.shape[0] != m.dim:
-        raise ValueError(f"dimension mismatch: rho is {rho.shape[0]}, model is {m.dim}")
-    val = 0.0
-    for rate, q in m.output_weights:
-        val += rate * np.trace(q.conj().T @ q @ rho).real
-    if -1e-12 <= val < 0.0:
-        return 0.0
-    return float(val)
 
 
 def generator_apply(m: LindbladModel, rho: np.ndarray, t: float = 0.0) -> np.ndarray:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex, frobenius_norm, _check_square
-from .models import LambdaParams, LindbladModel, build_two_scale, generator_apply
+from .linalg import _check_square
+from .models import LindbladModel
 from .tikhonov import TikhonovSystem, herm_to_vec, vec_to_herm
 
 
@@ -280,24 +280,6 @@ def reconstruct_full(rho_s: np.ndarray, m: LindbladModel) -> np.ndarray:
     embedded = embed_ground(rho_s)
     rho_f = rho_f_first_order(embedded, m.hamiltonian, float(rates.sum()))
     return merge(SlowFastSplit(rho_f=rho_f, rho_s=embedded), rates)
-
-
-def equilibrium_residual(rm: ReducedModel, rho_s: np.ndarray) -> float:
-    """Frobenius norm of the reduced generator applied to rho_s."""
-    return frobenius_norm(generator_apply(as_lindblad(rm), as_complex(rho_s)))
-
-
-def reduced_params(p: LambdaParams) -> ReducedModel:
-    """Convenience wrapper: reduce the two-scale model built from p."""
-    return reduce_model(build_two_scale(p))
-
-
-def slow_timescale_of(rm: ReducedModel) -> float:
-    """Characteristic slow time 4 / sum(gamma_slow) = Gamma / sum|Omega|^2."""
-    total_slow = sum(rm.gamma_slow)
-    if total_slow == 0.0:
-        raise ValueError("slow timescale undefined: zero coupling")
-    return 4.0 / total_slow
 
 
 def standard_form(m: LindbladModel) -> TikhonovSystem:

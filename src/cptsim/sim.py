@@ -17,7 +17,6 @@ import numpy as np
 from .linalg import (
     as_complex,
     frobenius_norm,
-    hermiticity_error,
     spectral_norm_hermitian,
     validate_density,
     _check_square,
@@ -110,6 +109,11 @@ def auto_dt(m: LindbladModel, t_end: float) -> float:
     return min(dt_max(m), t_end / 1e4)
 
 
+def _shared_auto_dt(t_end: float, *models: LindbladModel) -> float:
+    """Default step for models sampled on one grid: the smallest of their auto steps."""
+    return min(auto_dt(m, t_end) for m in models)
+
+
 def _step_count(t_end: float, dt: float) -> int:
     return max(1, int(math.ceil(t_end / dt - 1e-12)))
 
@@ -138,6 +142,8 @@ def _finalize(m: LindbladModel, samples: np.ndarray, sample_idx: np.ndarray, dt:
     dim = m.dim
     states = samples.reshape(-1, dim, dim)
     times = sample_idx.astype(np.float64) * dt
+    max_herm = 0.0
+    min_eig = math.inf
     for i, rho in enumerate(states):
         report = validate_density(
             rho, tol_trace=SAMPLE_TRACE_TOL, tol_pos=SAMPLE_POS_TOL, tol_herm=SAMPLE_HERM_TOL
@@ -146,6 +152,8 @@ def _finalize(m: LindbladModel, samples: np.ndarray, sample_idx: np.ndarray, dt:
             raise IntegrationError(
                 f"state invariant breach at t={times[i]:.6g} ({m.label}): {report}"
             )
+        max_herm = max(max_herm, report.herm_deviation)
+        min_eig = min(min_eig, report.min_eigenvalue)
     weight = np.zeros((dim, dim), dtype=np.complex128)
     for rate, q in m.output_weights:
         weight += rate * (q.conj().T @ q)
@@ -158,6 +166,8 @@ def _finalize(m: LindbladModel, samples: np.ndarray, sample_idx: np.ndarray, dt:
         "sample_every": sample_every,
         "n_renorm": int(n_renorm),
         "max_trace_drift": float(max_drift),
+        "max_hermiticity_error": max_herm,
+        "min_eigenvalue": min_eig,
         "backend": backend_name(),
     }
     return Trajectory(times=times, states=states, outputs=outputs, meta=meta)
@@ -226,14 +236,15 @@ class CompareResult(NamedTuple):
     distances: np.ndarray
 
 
-def compare_full_vs_slow(p: LambdaParams, rho0_ground: np.ndarray, t_end: float, dt: float,
-                         sample_every: int = 10) -> CompareResult:
+def compare_full_vs_slow(p: LambdaParams, rho0_ground: np.ndarray, t_end: float,
+                         dt: float | None = None, sample_every: int = 10) -> CompareResult:
     """Run the full model and its reduction side by side on one grid.
 
     rho0_ground lives on the N-dim ground block and is embedded with an
     empty excited row/column for the full model, so both start at the
     same state.  distances[i] is the Frobenius distance between the full
-    state and the embedded slow state at sample i.
+    state and the embedded slow state at sample i.  dt=None takes the
+    smaller of the two models' auto steps.
     """
     rho0_ground = as_complex(_check_square(rho0_ground, "rho0_ground"))
     if rho0_ground.shape[0] != p.n_ground:
@@ -242,6 +253,8 @@ def compare_full_vs_slow(p: LambdaParams, rho0_ground: np.ndarray, t_end: float,
         )
     m_full = build_two_scale(p)
     m_slow = as_lindblad(reduce_model(m_full))
+    if dt is None:
+        dt = _shared_auto_dt(t_end, m_full, m_slow)
     traj_full = integrate(m_full, embed_ground(rho0_ground), t_end, dt, sample_every)
     traj_slow = integrate(m_slow, rho0_ground, t_end, dt, sample_every)
     embedded = np.zeros_like(traj_full.states)
@@ -278,16 +291,17 @@ EPSILON_FIT_MAX = 0.25
 
 
 def epsilon_sweep(p_base: LambdaParams, scale_factors, t_end_slow: float,
-                  dt_policy: float | str = "auto", sample_target: int = 2000,
+                  dt_policy: float | None = None, sample_target: int = 2000,
                   eps_fit_max: float = EPSILON_FIT_MAX) -> SweepResult:
     """Scale the decay rates up and measure how fast the reduction error shrinks.
 
     For each factor s the rates become s*Gamma_k, making the time-scale
     ratio epsilon = (sum|Omega| + sum|delta|) / (s sum Gamma) smaller; the
     run window grows with s so it covers the same multiple of the slow
-    time.  Fits log(sup distance) against log(epsilon) over the points
-    inside the asymptotic regime epsilon <= eps_fit_max (all points if
-    fewer than 3 qualify).
+    time.  dt_policy is the step at s = 1, divided by s for each factor;
+    None takes the auto step of compare_full_vs_slow.  Fits log(sup
+    distance) against log(epsilon) over the points inside the asymptotic
+    regime epsilon <= eps_fit_max (all points if fewer than 3 qualify).
     """
     factors = [float(s) for s in scale_factors]
     if len(factors) < 4:
@@ -309,9 +323,9 @@ def epsilon_sweep(p_base: LambdaParams, scale_factors, t_end_slow: float,
             gamma=tuple(g * s for g in p_base.gamma),
         )
         t_end = t_end_slow * s
-        if dt_policy == "auto":
-            dt = min(auto_dt(build_two_scale(p_s), t_end),
-                     auto_dt(as_lindblad(reduce_model(build_two_scale(p_s))), t_end))
+        if dt_policy is None:
+            m_full = build_two_scale(p_s)
+            dt = _shared_auto_dt(t_end, m_full, as_lindblad(reduce_model(m_full)))
         else:
             dt = float(dt_policy) / s
         n_steps = _step_count(t_end, dt)
@@ -378,7 +392,7 @@ def rwa_comparison(p3: ThreeScaleParams, t_end: float, dt: float | None = None,
     m_driven = build_three_scale(p3)
     m_rwa = build_two_scale(rwa_effective(p3))
     if dt is None:
-        dt = min(auto_dt(m_driven, t_end), auto_dt(m_rwa, t_end))
+        dt = _shared_auto_dt(t_end, m_driven, m_rwa)
     n = p3.n_ground
     rho0 = embed_ground(np.eye(n, dtype=np.complex128) / n)
     traj_driven = integrate_driven(m_driven, rho0, t_end, dt, sample_every)
@@ -404,15 +418,5 @@ def convergence_order(m: LindbladModel, rho0: np.ndarray, t_end: float, dt0: flo
 
 def conservation_report(traj: Trajectory) -> dict:
     """Worst-case trace drift, hermiticity deviation and eigenvalue floor."""
-    max_herm = 0.0
-    min_eig = math.inf
-    for rho in traj.states:
-        max_herm = max(max_herm, hermiticity_error(rho))
-        w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        min_eig = min(min_eig, float(w[0]))
-    return {
-        "max_trace_drift": traj.meta["max_trace_drift"],
-        "max_hermiticity_error": max_herm,
-        "min_eigenvalue": min_eig,
-        "n_renorm": traj.meta["n_renorm"],
-    }
+    keys = ("max_trace_drift", "max_hermiticity_error", "min_eigenvalue", "n_renorm")
+    return {key: traj.meta[key] for key in keys}

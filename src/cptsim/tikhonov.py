@@ -53,8 +53,7 @@ def vec_to_herm(vec: np.ndarray, dim: int) -> np.ndarray:
 class TikhonovSystem:
     """Slow/fast system dx/dt = f(x,y), dy/dt = -A y/eps + g(x,y).
 
-    Analytic Jacobians of g at (x, 0) may be supplied; otherwise central
-    finite differences are used.
+    The Jacobians of g at (x, 0) are taken by central finite differences.
     """
 
     dim_slow: int
@@ -63,8 +62,6 @@ class TikhonovSystem:
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     epsilon: float
-    dg_dx: Callable[[np.ndarray], np.ndarray] | None = None
-    dg_dy: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim_slow <= 0 or self.dim_fast <= 0:
@@ -78,18 +75,6 @@ class TikhonovSystem:
             raise ValueError(f"A must have eigenvalue real parts > 0 (min {min_real:.3e})")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-    def with_epsilon(self, epsilon: float) -> "TikhonovSystem":
-        return TikhonovSystem(
-            dim_slow=self.dim_slow,
-            dim_fast=self.dim_fast,
-            a=self.a,
-            f=self.f,
-            g=self.g,
-            epsilon=epsilon,
-            dg_dx=self.dg_dx,
-            dg_dy=self.dg_dy,
-        )
 
 
 def _check_x(s: TikhonovSystem, x: np.ndarray) -> np.ndarray:
@@ -107,8 +92,6 @@ def manifold_first_order(s: TikhonovSystem, x: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_g_x(s: TikhonovSystem, x: np.ndarray) -> np.ndarray:
-    if s.dg_dx is not None:
-        return np.asarray(s.dg_dx(x), dtype=np.float64)
     y0 = np.zeros(s.dim_fast)
     jac = np.zeros((s.dim_fast, s.dim_slow))
     for j in range(s.dim_slow):
@@ -122,8 +105,6 @@ def _jacobian_g_x(s: TikhonovSystem, x: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_g_y(s: TikhonovSystem, x: np.ndarray) -> np.ndarray:
-    if s.dg_dy is not None:
-        return np.asarray(s.dg_dy(x), dtype=np.float64)
     jac = np.zeros((s.dim_fast, s.dim_fast))
     for j in range(s.dim_fast):
         h = 1e-6

@@ -244,13 +244,13 @@ def test_main_exit_codes(tmp_path):
     assert main(["compare", "--config", str(tmp_path / "missing.json")]) == 4
 
 
-def test_main_out_and_seed_flags(tmp_path):
+def test_main_out_flag(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(doc(dt=0.001))
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
-    assert main(["compare", "--config", str(cfg), "--out", str(out1), "--seed", "1"]) == 0
-    assert main(["compare", "--config", str(cfg), "--out", str(out2), "--seed", "2"]) == 0
+    assert main(["compare", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["compare", "--config", str(cfg), "--out", str(out2)]) == 0
     with open(out1 / "compare.csv", "rb") as fh:
         a = fh.read()
     with open(out2 / "compare.csv", "rb") as fh:
@@ -262,3 +262,38 @@ def test_main_dt_override_rejects_negative(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(doc())
     assert main(["compare", "--config", str(cfg), "--dt", "-0.1"]) == 2
+
+
+THREE_SCALE_MODEL = {
+    "type": "three_scale",
+    "lambda_e": 200.0,
+    "lambda_g": [0.0, 0.0],
+    "mu": [1.0, 1.0],
+    "u_re": [0.5, 0.5],
+    "u_im": [0.0, 0.0],
+    "detuning": [0.3, -0.2],
+    "gamma": [4.0, 6.0],
+}
+
+
+def test_main_rejects_non_finite_model_values(tmp_path, capsys):
+    bad_models = {
+        "lambda_detuning": {**LAMBDA_DOC["model"], "detuning": [float("nan"), -0.2]},
+        "three_scale_detuning": {**THREE_SCALE_MODEL, "detuning": [float("nan"), -0.2]},
+        "three_scale_lambda_e": {**THREE_SCALE_MODEL, "lambda_e": float("inf")},
+    }
+    for name, model in bad_models.items():
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(doc(model=model, experiment="simulate-full", output_path=str(tmp_path / name)))
+        assert main(["simulate-full", "--config", str(cfg)]) == 2, name
+        assert "error: model." in capsys.readouterr().err
+
+
+def test_main_maps_overflow_to_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    model = {**LAMBDA_DOC["model"], "gamma": [1e300, 6.0]}
+    cfg.write_text(doc(model=model, experiment="reduce", output_path=str(tmp_path / "out")))
+    assert main(["reduce", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: computation failed:")
+    assert len(err.strip().splitlines()) == 1

@@ -2,42 +2,17 @@ import numpy as np
 import pytest
 
 from cptsim.linalg import (
-    basis_ket,
     commutator,
     dissipator,
-    excited_projector,
     frobenius_distance,
     frobenius_norm,
     hermiticity_error,
     hermitian_part,
-    ket_bra,
     random_density,
     random_hermitian,
-    random_unitary,
     spectral_norm_hermitian,
     validate_density,
 )
-
-
-def test_basis_ket():
-    v = basis_ket(5, 2)
-    assert v.shape == (5,)
-    assert v[2] == 1.0
-    assert np.count_nonzero(v) == 1
-    with pytest.raises(ValueError):
-        basis_ket(2, 5)
-
-
-def test_ket_bra_outer_product():
-    a = np.array([1.0, 1j]) / np.sqrt(2)
-    m = ket_bra(a, a)
-    np.testing.assert_allclose(m, np.array([[0.5, -0.5j], [0.5j, 0.5]]))
-
-
-def test_excited_projector():
-    p = excited_projector(4)
-    assert p[0, 0] == 1.0
-    assert np.abs(p).sum() == 1.0
 
 
 def test_commutator_traceless():
@@ -108,12 +83,6 @@ def test_spectral_norm_hermitian():
     h = random_hermitian(6, rng)
     expected = np.abs(np.linalg.eigvalsh(h)).max()
     assert spectral_norm_hermitian(h) == pytest.approx(expected, rel=1e-12)
-
-
-def test_random_unitary_is_unitary():
-    rng = np.random.default_rng(5)
-    u = random_unitary(5, rng)
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
 
 
 def test_random_density_properties():

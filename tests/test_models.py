@@ -12,10 +12,10 @@ from cptsim.models import (
     effective_hamiltonian,
     generator_apply,
     liouvillian,
-    output_full,
     rwa_effective,
     slow_timescale,
 )
+from cptsim.sim import integrate
 
 FOUR_LEVEL = LambdaParams(
     detuning=(0.5, 1.2, 0.7, 1.0),
@@ -97,13 +97,17 @@ def test_liouvillian_matches_generator():
 
 
 def test_output_full_nonnegative():
+    # the photon count rate starts at sum(Gamma) from |e> and at 0 from a ground state
     m = build_two_scale(FOUR_LEVEL)
     rho = np.zeros((5, 5), dtype=np.complex128)
     rho[0, 0] = 1.0
-    assert output_full(m, rho) == pytest.approx(21.0)
+    excited = integrate(m, rho, t_end=0.1, dt=1e-3, sample_every=10)
+    assert excited.outputs[0] == pytest.approx(21.0)
     rho_ground = np.zeros((5, 5), dtype=np.complex128)
     rho_ground[1, 1] = 1.0
-    assert output_full(m, rho_ground) == 0.0
+    ground = integrate(m, rho_ground, t_end=0.1, dt=1e-3, sample_every=10)
+    assert ground.outputs[0] == 0.0
+    assert np.all(excited.outputs >= 0.0) and np.all(ground.outputs >= 0.0)
 
 
 def test_drive_signal_is_real():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cptsim.linalg import frobenius_norm, hermiticity_error, random_density
-from cptsim.models import LambdaParams, build_two_scale, generator_apply
+from cptsim.models import LambdaParams, build_two_scale, generator_apply, slow_timescale
 from cptsim.reduction import (
     as_lindblad,
     bright_dark_states,
@@ -11,10 +11,8 @@ from cptsim.reduction import (
     merge,
     reconstruct_full,
     reduce_model,
-    reduced_params,
     rho_f_first_order,
     slow_output,
-    slow_timescale_of,
     split_slow_fast,
     standard_form,
 )
@@ -188,16 +186,10 @@ def test_reconstruct_full_adds_first_order_coherence():
     assert np.abs(full[0, 1:]).max() > 0.0
 
 
-def test_reduced_params_shortcut():
-    rm_direct = reduce_model(build_two_scale(FOUR_LEVEL))
-    rm_params = reduced_params(FOUR_LEVEL)
-    np.testing.assert_allclose(rm_params.hamiltonian_slow, rm_direct.hamiltonian_slow)
-    assert rm_params.gamma_slow == rm_direct.gamma_slow
-
-
 def test_slow_timescale_of_reduced_model():
+    # T_s = Gamma / sum|Omega|^2 is also 4 / sum(gamma_slow) of the reduction
     rm = reduce_model(build_two_scale(FOUR_LEVEL))
-    assert slow_timescale_of(rm) == pytest.approx(21.0 / 5.34, rel=1e-13)
+    assert slow_timescale(FOUR_LEVEL) == pytest.approx(4.0 / sum(rm.gamma_slow), rel=1e-13)
 
 
 def test_standard_form_fast_map_spectrum():
