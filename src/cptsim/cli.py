@@ -6,7 +6,8 @@ the output directory.  Floats are rendered with repr (shortest
 round-trip), line endings are LF, and writes are atomic, so repeated
 runs of the same config produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 computation error,
+Exit codes: 0 success, 2 configuration error (including non-finite
+values and runs over the step or sample budget), 3 computation error,
 4 I/O error.
 """
 
@@ -16,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -43,13 +45,13 @@ from .reduction import (
     standard_form,
 )
 from .sim import (
+    BudgetError,
     IntegrationError,
     auto_dt,
     compare_full_vs_slow,
     epsilon_sweep,
     equilibrium_check,
     integrate,
-    integrate_driven,
     rwa_comparison,
 )
 from .tikhonov import (
@@ -111,6 +113,10 @@ def _require(obj: dict, key: str, where: str = ""):
     return obj[key]
 
 
+def _positive_finite(x: float) -> bool:
+    return x > 0.0 and math.isfinite(x)
+
+
 def _float_list(obj, name: str) -> list[float]:
     if not isinstance(obj, list) or not obj:
         raise ConfigError(f"{name} must be a nonempty array of numbers")
@@ -118,6 +124,8 @@ def _float_list(obj, name: str) -> list[float]:
     for i, x in enumerate(obj):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ConfigError(f"{name}[{i}] must be a number")
+        if not math.isfinite(x):
+            raise ConfigError(f"{name}[{i}] must be finite, got {x}")
         out.append(float(x))
     return out
 
@@ -235,8 +243,8 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
         if isinstance(t_end, bool) or not isinstance(t_end, (int, float)):
             raise ConfigError("t_end must be a number")
         t_end = float(t_end)
-        if t_end <= 0.0:
-            raise ConfigError(f"t_end must be positive, got {t_end}")
+        if not _positive_finite(t_end):
+            raise ConfigError(f"t_end must be positive and finite, got {t_end}")
     elif chosen in _TIMED_EXPERIMENTS:
         raise ConfigError("missing key: t_end")
     t_end_units = doc.get("t_end_units", "absolute")
@@ -248,8 +256,8 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     if isinstance(dt, str):
         if dt != "auto":
             raise ConfigError(f"dt must be a positive number or 'auto', got {dt!r}")
-    elif isinstance(dt, bool) or not isinstance(dt, (int, float)) or float(dt) <= 0.0:
-        raise ConfigError(f"dt must be a positive number or 'auto', got {dt!r}")
+    elif isinstance(dt, bool) or not isinstance(dt, (int, float)) or not _positive_finite(dt):
+        raise ConfigError(f"dt must be a positive finite number or 'auto', got {dt!r}")
     else:
         dt = float(dt)
     sample_every = doc.get("sample_every", 10)
@@ -448,13 +456,13 @@ def _simulate_output(traj, pops: np.ndarray):
 def _run_simulate(config: RunConfig):
     model = config.model
     if isinstance(model, ThreeScaleParams):
-        m, integrator, p = build_three_scale(model), integrate_driven, rwa_effective(model)
+        m, p = build_three_scale(model), rwa_effective(model)
     else:
-        m, integrator, p = build_two_scale(model), integrate, model
+        m, p = build_two_scale(model), model
     t_end = _resolve_t_end(config, p)
     rho0 = _full_initial_state(config, p.n_ground)
     dt = _fixed_dt(config) or auto_dt(m, t_end)
-    traj = integrator(m, rho0, t_end, dt, config.sample_every)
+    traj = integrate(m, rho0, t_end, dt, config.sample_every)
     return _simulate_output(traj, traj.populations())
 
 
@@ -692,13 +700,13 @@ def main(argv=None) -> int:
     try:
         config = parse_config(raw.decode("utf-8"), experiment=args.experiment)
         if args.dt is not None:
-            if args.dt <= 0.0:
-                raise ConfigError(f"dt must be positive, got {args.dt}")
+            if not _positive_finite(args.dt):
+                raise ConfigError(f"dt must be positive and finite, got {args.dt}")
             config = dataclasses.replace(config, dt=float(args.dt))
         if args.out is not None:
             config = dataclasses.replace(config, output_path=args.out)
         paths = run(config, config_bytes=raw)
-    except ConfigError as exc:
+    except (ConfigError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, ValueError, OverflowError, FloatingPointError) as exc:

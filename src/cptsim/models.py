@@ -144,6 +144,7 @@ class DriveSpec:
     """Oscillating scalar drive u(t) multiplying a fixed interaction matrix.
 
     u(t) = sum_k [u_k exp(i nu_k t) + conj(u_k) exp(-i nu_k t)], real for all t.
+    The method u is the one place the waveform is evaluated.
     """
 
     h1: np.ndarray
@@ -310,8 +311,8 @@ def commutator_superop(h: np.ndarray) -> np.ndarray:
 def liouvillian(m: LindbladModel) -> np.ndarray:
     """Matrix of the full static generator on row-major vec(rho).
 
-    The drive term, if any, is excluded; integrators add u(t) times
-    commutator_superop(drive.h1) per stage.
+    The drive term, if any, is excluded; the RK4 kernel adds
+    drive.u(t) times commutator_superop(drive.h1) at each stage.
     """
     dim = m.dim
     eye = np.eye(dim)

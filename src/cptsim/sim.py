@@ -33,14 +33,7 @@ from .models import (
     rwa_effective,
 )
 from .reduction import ReducedModel, as_lindblad, embed_ground, reduce_model
-from .kernels import (
-    backend_name,
-    diag_indices_vec,
-    rk4_superop,
-    rk4_superop_driven,
-    sample_indices,
-    transpose_indices,
-)
+from .kernels import backend_name, rk4_superop, sample_indices
 from .tikhonov import fit_loglog_slope
 
 TRACE_DRIFT_TOL = 1e-12
@@ -48,9 +41,18 @@ SAMPLE_TRACE_TOL = 1e-8
 SAMPLE_HERM_TOL = 1e-8
 SAMPLE_POS_TOL = 1e-7
 
+# Run budget, checked before anything is allocated.  The largest tier-1
+# run (the A2 full model at s = 16) takes about 1.07e6 steps.
+MAX_STEPS = 100_000_000
+MAX_SAMPLE_BYTES = 1 << 30
+
 
 class IntegrationError(RuntimeError):
     """Integration aborted: state left the density-matrix manifold."""
+
+
+class BudgetError(Exception):
+    """Run refused before allocation: too many steps or too many sample bytes."""
 
 
 @dataclass(frozen=True)
@@ -125,16 +127,30 @@ def _check_run_args(m: LindbladModel, rho0: np.ndarray, t_end: float, dt: float,
     report = validate_density(rho0)
     if not report.ok:
         raise ValueError(f"rho0 is not a density matrix: {report}")
-    if t_end <= 0.0:
+    if not t_end > 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     limit = dt_max(m)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:.3e} exceeds the stability policy dt_max={limit:.3e}")
-    return rho0
+    steps = t_end / dt
+    if steps > MAX_STEPS:
+        raise BudgetError(
+            f"run needs {steps:.3g} steps at dt={dt:.3e} (dt_max={limit:.3e}), "
+            f"above the budget of {MAX_STEPS:.0e} steps"
+        )
+    n_steps = _step_count(t_end, dt)
+    n_samples = -(-n_steps // sample_every) + 1
+    sample_bytes = n_samples * m.dim**2 * 16
+    if sample_bytes > MAX_SAMPLE_BYTES:
+        raise BudgetError(
+            f"run records {n_samples} samples of dim {m.dim} ({sample_bytes / 2**30:.3g} GiB), "
+            f"above the budget of {MAX_SAMPLE_BYTES / 2**30:.0f} GiB; raise sample_every"
+        )
+    return rho0, n_steps
 
 
 def _finalize(m: LindbladModel, samples: np.ndarray, sample_idx: np.ndarray, dt: float,
@@ -175,57 +191,23 @@ def _finalize(m: LindbladModel, samples: np.ndarray, sample_idx: np.ndarray, dt:
 
 def integrate(m: LindbladModel, rho0: np.ndarray, t_end: float, dt: float,
               sample_every: int = 10) -> Trajectory:
-    """Evolve a static model with fixed-step RK4.
+    """Evolve a model with fixed-step RK4.
 
-    dt is trimmed so an integer number of steps lands exactly on t_end.
-    Every step is followed by Hermitian projection; the trace is
-    renormalized when it drifts beyond 1e-12 (counted in meta).
+    A driven model adds u(t) [H1, .] to the static generator at each RK4
+    stage.  dt is trimmed so an integer number of steps lands exactly on
+    t_end.  Every step is followed by Hermitian projection; the trace is
+    renormalized when it drifts beyond 1e-12 (counted in meta).  Runs
+    beyond MAX_STEPS steps or MAX_SAMPLE_BYTES of samples raise
+    BudgetError before anything is allocated.
     """
-    if m.drive is not None:
-        raise ValueError("model carries a drive; use integrate_driven")
-    rho0 = _check_run_args(m, rho0, t_end, dt, sample_every)
-    n_steps = _step_count(t_end, dt)
+    rho0, n_steps = _check_run_args(m, rho0, t_end, dt, sample_every)
     dt_eff = t_end / n_steps
-    lmat = liouvillian(m)
+    l1 = u = None
+    if m.drive is not None:
+        l1, u = commutator_superop(m.drive.h1), m.drive.u
     sample_idx = sample_indices(n_steps, sample_every)
     samples, n_renorm, max_drift = rk4_superop(
-        lmat,
-        rho0.ravel(),
-        dt_eff,
-        n_steps,
-        sample_idx,
-        transpose_indices(m.dim),
-        diag_indices_vec(m.dim),
-        TRACE_DRIFT_TOL,
-    )
-    return _finalize(m, samples, sample_idx, dt_eff, n_steps, sample_every, n_renorm, max_drift)
-
-
-def integrate_driven(m: LindbladModel, rho0: np.ndarray, t_end: float, dt: float,
-                     sample_every: int = 10) -> Trajectory:
-    """Evolve a driven model, evaluating u(t) at each RK4 stage."""
-    if m.drive is None:
-        raise ValueError("model has no drive; use integrate")
-    rho0 = _check_run_args(m, rho0, t_end, dt, sample_every)
-    n_steps = _step_count(t_end, dt)
-    dt_eff = t_end / n_steps
-    l0 = liouvillian(m)
-    l1 = commutator_superop(m.drive.h1)
-    amps = np.asarray(m.drive.amplitudes, dtype=np.complex128)
-    sample_idx = sample_indices(n_steps, sample_every)
-    samples, n_renorm, max_drift = rk4_superop_driven(
-        l0,
-        l1,
-        np.ascontiguousarray(amps.real),
-        np.ascontiguousarray(amps.imag),
-        np.asarray(m.drive.frequencies, dtype=np.float64),
-        rho0.ravel(),
-        dt_eff,
-        n_steps,
-        sample_idx,
-        transpose_indices(m.dim),
-        diag_indices_vec(m.dim),
-        TRACE_DRIFT_TOL,
+        liouvillian(m), rho0.ravel(), dt_eff, n_steps, sample_idx, TRACE_DRIFT_TOL, l1=l1, u=u
     )
     return _finalize(m, samples, sample_idx, dt_eff, n_steps, sample_every, n_renorm, max_drift)
 
@@ -395,7 +377,7 @@ def rwa_comparison(p3: ThreeScaleParams, t_end: float, dt: float | None = None,
         dt = _shared_auto_dt(t_end, m_driven, m_rwa)
     n = p3.n_ground
     rho0 = embed_ground(np.eye(n, dtype=np.complex128) / n)
-    traj_driven = integrate_driven(m_driven, rho0, t_end, dt, sample_every)
+    traj_driven = integrate(m_driven, rho0, t_end, dt, sample_every)
     traj_rwa = integrate(m_rwa, rho0, t_end, dt, sample_every)
     diff = float(np.max(np.abs(traj_driven.excited_population - traj_rwa.excited_population)))
     return RwaResult(driven=traj_driven, rwa=traj_rwa, max_pop_diff=diff)

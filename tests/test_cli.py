@@ -297,3 +297,66 @@ def test_main_maps_overflow_to_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: computation failed:")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_main_three_scale_simulate_full(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc(model=THREE_SCALE_MODEL, experiment="simulate-full", t_end=0.2))
+    assert main(["simulate-full", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "simulate-full.csv") as fh:
+        assert fh.readline().strip() == "t,y,pop_e,pop_g1,pop_g2"
+
+
+def test_main_three_scale_rwa_check_is_byte_deterministic(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc(model=THREE_SCALE_MODEL, experiment="rwa-check", t_end=0.2))
+    blobs = []
+    for name in ("r1", "r2"):
+        assert main(["rwa-check", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        with open(tmp_path / name / "rwa-check.csv", "rb") as fh:
+            blobs.append(fh.read())
+    assert blobs[0] == blobs[1]
+
+
+def _four_level_doc(**overrides) -> str:
+    with open(os.path.join(CONFIG_DIR, "four_level_compare.json")) as fh:
+        document = json.load(fh)
+    document.update(overrides)
+    return json.dumps(document)
+
+
+@pytest.mark.parametrize(
+    "overrides, flags, key",
+    [
+        ({"t_end": float("nan")}, [], "t_end"),
+        ({"t_end": float("inf")}, [], "t_end"),
+        ({"dt": float("nan")}, [], "dt"),
+        ({"dt": float("inf")}, [], "dt"),
+        ({}, ["--dt", "nan"], "dt"),
+        ({"experiment": "sweep-eps", "sweep": {"scales": [1.0, float("nan"), 4.0, 8.0]}}, [], "sweep.scales[1]"),
+        ({"experiment": "sweep-eps", "sweep": {"scales": [1.0, 2.0, float("inf"), 8.0]}}, [], "sweep.scales[2]"),
+    ],
+)
+def test_main_rejects_non_finite_run_values(tmp_path, capsys, overrides, flags, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(_four_level_doc(**overrides, output_path=str(tmp_path / "out")))
+    experiment = overrides.get("experiment", "compare")
+    assert main([experiment, "--config", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_main_refuses_run_over_step_budget(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        _four_level_doc(
+            experiment="simulate-slow", t_end=1e12, t_end_units="absolute", dt="auto",
+            output_path=str(tmp_path / "out"),
+        )
+    )
+    assert main(["simulate-slow", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: run needs")
+    assert "dt_max=" in err
+    assert len(err.strip().splitlines()) == 1

@@ -11,6 +11,9 @@ from cptsim.models import (
 )
 from cptsim.reduction import as_lindblad, bright_dark_states, reduce_model
 from cptsim.sim import (
+    MAX_SAMPLE_BYTES,
+    MAX_STEPS,
+    BudgetError,
     auto_dt,
     compare_full_vs_slow,
     conservation_report,
@@ -19,7 +22,6 @@ from cptsim.sim import (
     epsilon_sweep,
     equilibrium_check,
     integrate,
-    integrate_driven,
     rwa_comparison,
 )
 
@@ -116,16 +118,25 @@ def test_driven_with_zero_amplitude_matches_static():
     )
     rho0 = embedded_uniform(2)
     a = integrate(static, rho0, t_end=0.5, dt=5e-4, sample_every=100)
-    b = integrate_driven(driven, rho0, t_end=0.5, dt=5e-4, sample_every=100)
-    assert max(
-        frobenius_distance(x, y) for x, y in zip(a.states, b.states)
-    ) < 1e-12
+    b = integrate(driven, rho0, t_end=0.5, dt=5e-4, sample_every=100)
+    # u = 0 adds exact zeros at every stage
+    assert np.array_equal(a.states, b.states)
 
 
-def test_integrate_dispatch_guards():
+def test_integrate_refuses_runs_over_budget():
     m = build_two_scale(TWO_LEVEL)
-    with pytest.raises(ValueError):
-        integrate_driven(m, embedded_uniform(2), t_end=1.0, dt=1e-3)
+    dt = auto_dt(m, t_end=1e12)
+    with pytest.raises(BudgetError, match="steps at dt=") as info:
+        integrate(m, embedded_uniform(2), t_end=1e12, dt=dt)
+    assert not isinstance(info.value, ValueError)
+    # within the step budget, but one sample per step overflows the sample budget
+    n_steps = MAX_SAMPLE_BYTES // (m.dim**2 * 16) + 1
+    assert n_steps <= MAX_STEPS
+    with pytest.raises(BudgetError, match="samples of dim 3"):
+        integrate(m, embedded_uniform(2), t_end=n_steps * dt, dt=dt, sample_every=1)
+    # the sweep's per-scale error handling must not swallow it
+    with pytest.raises(BudgetError):
+        epsilon_sweep(TWO_LEVEL, (1.0, 2.0, 4.0, 8.0), t_end_slow=1e12)
 
 
 def test_compare_full_vs_slow_grids_align():
