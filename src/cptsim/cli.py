@@ -117,17 +117,23 @@ def _positive_finite(x: float) -> bool:
     return x > 0.0 and math.isfinite(x)
 
 
+def _number(x, key: str) -> float:
+    """A config value as a finite float; anything else is a ConfigError naming key."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ConfigError(f"{key} must be a number")
+    try:
+        x = float(x)
+    except OverflowError:
+        raise ConfigError(f"{key} must be finite, got an integer too large for a double") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} must be finite, got {x}")
+    return x
+
+
 def _float_list(obj, name: str) -> list[float]:
     if not isinstance(obj, list) or not obj:
         raise ConfigError(f"{name} must be a nonempty array of numbers")
-    out = []
-    for i, x in enumerate(obj):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"{name}[{i}] must be a number")
-        if not math.isfinite(x):
-            raise ConfigError(f"{name}[{i}] must be finite, got {x}")
-        out.append(float(x))
-    return out
+    return [_number(x, f"{name}[{i}]") for i, x in enumerate(obj)]
 
 
 _MODEL_ARRAYS = {
@@ -145,9 +151,7 @@ def _model_from(obj) -> LambdaParams | ThreeScaleParams:
     scalars = ("lambda_e",) if kind == "three_scale" else ()
     _reject_unknown(obj, {"type", *scalars, *_MODEL_ARRAYS[kind]}, "model.")
     if scalars:
-        lambda_e = _require(obj, "lambda_e", "model.")
-        if isinstance(lambda_e, bool) or not isinstance(lambda_e, (int, float)):
-            raise ConfigError("model.lambda_e must be a number")
+        lambda_e = _number(_require(obj, "lambda_e", "model."), "model.lambda_e")
     arrays = {
         key: _float_list(_require(obj, key, "model."), f"model.{key}")
         for key in _MODEL_ARRAYS[kind]
@@ -240,11 +244,9 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     initial_state = _initial_state_from(doc.get("initial_state", "uniform_ground"))
     t_end = doc.get("t_end")
     if t_end is not None:
-        if isinstance(t_end, bool) or not isinstance(t_end, (int, float)):
-            raise ConfigError("t_end must be a number")
-        t_end = float(t_end)
-        if not _positive_finite(t_end):
-            raise ConfigError(f"t_end must be positive and finite, got {t_end}")
+        t_end = _number(t_end, "t_end")
+        if t_end <= 0.0:
+            raise ConfigError(f"t_end must be positive, got {t_end}")
     elif chosen in _TIMED_EXPERIMENTS:
         raise ConfigError("missing key: t_end")
     t_end_units = doc.get("t_end_units", "absolute")
@@ -256,10 +258,10 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     if isinstance(dt, str):
         if dt != "auto":
             raise ConfigError(f"dt must be a positive number or 'auto', got {dt!r}")
-    elif isinstance(dt, bool) or not isinstance(dt, (int, float)) or not _positive_finite(dt):
-        raise ConfigError(f"dt must be a positive finite number or 'auto', got {dt!r}")
     else:
-        dt = float(dt)
+        dt = _number(dt, "dt")
+        if dt <= 0.0:
+            raise ConfigError(f"dt must be a positive number or 'auto', got {dt!r}")
     sample_every = doc.get("sample_every", 10)
     if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
         raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
@@ -591,16 +593,10 @@ def _run_dark_state_check(config: RunConfig):
 
 
 def _scalar_family(eps: float) -> TikhonovSystem:
-    # exact slow slope k = eps + 2 eps^2 + 3 eps^3 + O(eps^4): both
-    # correction terms of the second-order expansion are active
-    return TikhonovSystem(
-        dim_slow=1,
-        dim_fast=1,
-        a=np.array([[1.0]]),
-        f=lambda x, y: -x + y,
-        g=lambda x, y: x + y,
-        epsilon=eps,
-    )
+    # dx/dt = -x + y, dy/dt = -y/eps + x + y; exact slow slope
+    # k = eps + 2 eps^2 + 3 eps^3 + O(eps^4): both correction terms of
+    # the second-order expansion are active
+    return TikhonovSystem(a=np.array([[1.0]]), c=np.array([[-1.0, 1.0], [1.0, 1.0]]), epsilon=eps)
 
 
 def _run_verify_appendix(config: RunConfig):

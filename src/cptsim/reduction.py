@@ -288,7 +288,8 @@ def standard_form(m: LindbladModel) -> TikhonovSystem:
     Slow variable x = vec(rho_s), fast variable y = vec(rho_f), both as
     real vectors over Hermitian matrices of the full dimension.  The fast
     relaxation X -> (X + P X P)/2 enters through the matrix A with
-    epsilon = 1/sum(Gamma); the Hamiltonian coupling supplies f and g.
+    epsilon = 1/sum(Gamma); the Hamiltonian coupling -i[H, rho], taken
+    through merge and split, supplies the coupling matrix C.
     """
     rates = _lambda_jump_structure(m)
     total = float(rates.sum())
@@ -296,33 +297,21 @@ def standard_form(m: LindbladModel) -> TikhonovSystem:
     dim = m.dim
     nvec = dim * dim
 
-    def fast_map(x_mat: np.ndarray) -> np.ndarray:
-        out = 0.5 * x_mat.copy()
+    def fast_map(y: np.ndarray) -> np.ndarray:
+        x_mat = vec_to_herm(y, dim)
+        out = 0.5 * x_mat
         out[0, 0] += 0.5 * x_mat[0, 0]
-        return out
+        return herm_to_vec(out)
 
-    a = np.zeros((nvec, nvec))
-    for j in range(nvec):
-        e = np.zeros(nvec)
-        e[j] = 1.0
-        a[:, j] = herm_to_vec(fast_map(vec_to_herm(e, dim)))
+    def coupling(z: np.ndarray) -> np.ndarray:
+        split = SlowFastSplit(rho_f=vec_to_herm(z[nvec:], dim), rho_s=vec_to_herm(z[:nvec], dim))
+        hh = h @ merge(split, rates)
+        parts = split_slow_fast(-1j * (hh - hh.conj().T), rates)
+        return np.concatenate([herm_to_vec(parts.rho_s), herm_to_vec(parts.rho_f)])
 
-    def coupling(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        rho = merge(SlowFastSplit(rho_f=vec_to_herm(y, dim), rho_s=vec_to_herm(x, dim)), rates)
-        hh = h @ rho
-        return -1j * (hh - hh.conj().T)
-
-    def f(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return herm_to_vec(split_slow_fast(coupling(x, y), rates).rho_s)
-
-    def g(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return herm_to_vec(split_slow_fast(coupling(x, y), rates).rho_f)
-
+    # each linear map applied to the basis vectors gives its matrix, column by column
     return TikhonovSystem(
-        dim_slow=nvec,
-        dim_fast=nvec,
-        a=a,
-        f=f,
-        g=g,
+        a=np.column_stack([fast_map(e) for e in np.eye(nvec)]),
+        c=np.column_stack([coupling(e) for e in np.eye(2 * nvec)]),
         epsilon=1.0 / total,
     )

@@ -116,8 +116,15 @@ def _shared_auto_dt(t_end: float, *models: LindbladModel) -> float:
     return min(auto_dt(m, t_end) for m in models)
 
 
-def _step_count(t_end: float, dt: float) -> int:
-    return max(1, int(math.ceil(t_end / dt - 1e-12)))
+def _step_count(m: LindbladModel, t_end: float, dt: float) -> int:
+    """Steps of a run; BudgetError above MAX_STEPS, before the count is formed."""
+    steps = t_end / dt
+    if steps > MAX_STEPS:
+        raise BudgetError(
+            f"run needs {steps:.3g} steps at dt={dt:.3e} (dt_max={dt_max(m):.3e}), "
+            f"above the budget of {MAX_STEPS:.0e} steps"
+        )
+    return max(1, int(math.ceil(steps - 1e-12)))
 
 
 def _check_run_args(m: LindbladModel, rho0: np.ndarray, t_end: float, dt: float, sample_every: int):
@@ -136,13 +143,7 @@ def _check_run_args(m: LindbladModel, rho0: np.ndarray, t_end: float, dt: float,
     limit = dt_max(m)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:.3e} exceeds the stability policy dt_max={limit:.3e}")
-    steps = t_end / dt
-    if steps > MAX_STEPS:
-        raise BudgetError(
-            f"run needs {steps:.3g} steps at dt={dt:.3e} (dt_max={limit:.3e}), "
-            f"above the budget of {MAX_STEPS:.0e} steps"
-        )
-    n_steps = _step_count(t_end, dt)
+    n_steps = _step_count(m, t_end, dt)
     n_samples = -(-n_steps // sample_every) + 1
     sample_bytes = n_samples * m.dim**2 * 16
     if sample_bytes > MAX_SAMPLE_BYTES:
@@ -237,6 +238,12 @@ def compare_full_vs_slow(p: LambdaParams, rho0_ground: np.ndarray, t_end: float,
     m_slow = as_lindblad(reduce_model(m_full))
     if dt is None:
         dt = _shared_auto_dt(t_end, m_full, m_slow)
+    return _compare_models(m_full, m_slow, rho0_ground, t_end, dt, sample_every)
+
+
+def _compare_models(m_full: LindbladModel, m_slow: LindbladModel, rho0_ground: np.ndarray,
+                    t_end: float, dt: float, sample_every: int) -> CompareResult:
+    """The full/slow pair of compare_full_vs_slow, from models already built."""
     traj_full = integrate(m_full, embed_ground(rho0_ground), t_end, dt, sample_every)
     traj_slow = integrate(m_slow, rho0_ground, t_end, dt, sample_every)
     embedded = np.zeros_like(traj_full.states)
@@ -305,15 +312,15 @@ def epsilon_sweep(p_base: LambdaParams, scale_factors, t_end_slow: float,
             gamma=tuple(g * s for g in p_base.gamma),
         )
         t_end = t_end_slow * s
+        m_full = build_two_scale(p_s)
+        m_slow = as_lindblad(reduce_model(m_full))
         if dt_policy is None:
-            m_full = build_two_scale(p_s)
-            dt = _shared_auto_dt(t_end, m_full, as_lindblad(reduce_model(m_full)))
+            dt = _shared_auto_dt(t_end, m_full, m_slow)
         else:
             dt = float(dt_policy) / s
-        n_steps = _step_count(t_end, dt)
-        sample_every = max(1, n_steps // sample_target)
+        sample_every = max(1, _step_count(m_full, t_end, dt) // sample_target)
         try:
-            result = compare_full_vs_slow(p_s, rho0, t_end, dt, sample_every)
+            result = _compare_models(m_full, m_slow, rho0, t_end, dt, sample_every)
         except (IntegrationError, ValueError) as exc:
             failures.append(f"s={s}: {exc}")
             continue
@@ -385,7 +392,7 @@ def rwa_comparison(p3: ThreeScaleParams, t_end: float, dt: float | None = None,
 
 def convergence_order(m: LindbladModel, rho0: np.ndarray, t_end: float, dt0: float) -> float:
     """Empirical RK4 order from runs at dt0 and dt0/2 against a dt0/8 reference."""
-    n0 = _step_count(t_end, dt0)
+    n0 = _step_count(m, t_end, dt0)
     finals = []
     for divisor in (1, 2, 8):
         n = n0 * divisor

@@ -1,9 +1,11 @@
-"""Two-time-scale expansion kit for systems in Tikhonov coordinates.
+"""Two-time-scale expansion kit for linear systems in Tikhonov coordinates.
 
-Handles dx/dt = f(x, y), dy/dt = -A y / epsilon + g(x, y) with a fast
-part that relaxes on the attractive slow manifold.  Provides the first-
-and second-order manifold expansions, the reduced vector field, and an
-empirical order-of-accuracy check via direct integration.
+Handles dz/dt = C z - (0, A y / epsilon) for z = (x, y), so that
+dx/dt = Fx x + Fy y and dy/dt = -A y / epsilon + Gx x + Gy y, with a
+fast part that relaxes on the attractive slow manifold.  Provides the
+first- and second-order manifold expansions, direct RK4 integration of
+the full system, and the residuals and log-log fits that measure the
+order of the expansions.
 
 Also contains the real-vector encoding of Hermitian matrices used to
 put vectorized master equations into this form.
@@ -51,30 +53,34 @@ def vec_to_herm(vec: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TikhonovSystem:
-    """Slow/fast system dx/dt = f(x,y), dy/dt = -A y/eps + g(x,y).
+    """Linear slow/fast system dz/dt = C z - (0, A y / eps) for z = (x, y).
 
-    The Jacobians of g at (x, 0) are taken by central finite differences.
+    The slow dimension is C's size minus A's; the blocks of C are the
+    exact Jacobians Fx, Fy (rows of x) and Gx, Gy (rows of y).
     """
 
-    dim_slow: int
-    dim_fast: int
     a: np.ndarray
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    c: np.ndarray
     epsilon: float
 
     def __post_init__(self):
-        if self.dim_slow <= 0 or self.dim_fast <= 0:
-            raise ValueError("dimensions must be positive")
-        a = np.asarray(self.a, dtype=np.float64 if np.isrealobj(self.a) else np.complex128)
-        if a.shape != (self.dim_fast, self.dim_fast):
-            raise ValueError(f"A must be {self.dim_fast} x {self.dim_fast}, got {a.shape}")
+        a = np.asarray(self.a, dtype=np.float64)
+        c = np.asarray(self.c, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+            raise ValueError(f"A must be a nonempty square matrix, got shape {a.shape}")
+        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] <= a.shape[0]:
+            raise ValueError(f"C must be square and larger than A {a.shape}, got shape {c.shape}")
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
         min_real = float(np.min(np.linalg.eigvals(a).real))
         if min_real <= 1e-12:
             raise ValueError(f"A must have eigenvalue real parts > 0 (min {min_real:.3e})")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+
+    @property
+    def dim_slow(self) -> int:
+        return self.c.shape[0] - self.a.shape[0]
 
 
 def _check_x(s: TikhonovSystem, x: np.ndarray) -> np.ndarray:
@@ -85,100 +91,52 @@ def _check_x(s: TikhonovSystem, x: np.ndarray) -> np.ndarray:
 
 
 def manifold_first_order(s: TikhonovSystem, x: np.ndarray) -> np.ndarray:
-    """Leading manifold equation y = eps A^-1 g(x, 0)."""
+    """Leading manifold equation y = eps A^-1 Gx x."""
     x = _check_x(s, x)
-    y0 = np.zeros(s.dim_fast)
-    return s.epsilon * np.linalg.solve(s.a, np.asarray(s.g(x, y0), dtype=np.float64))
-
-
-def _jacobian_g_x(s: TikhonovSystem, x: np.ndarray) -> np.ndarray:
-    y0 = np.zeros(s.dim_fast)
-    jac = np.zeros((s.dim_fast, s.dim_slow))
-    for j in range(s.dim_slow):
-        h = 1e-6 * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (np.asarray(s.g(xp, y0)) - np.asarray(s.g(xm, y0))) / (2.0 * h)
-    return jac
-
-
-def _jacobian_g_y(s: TikhonovSystem, x: np.ndarray) -> np.ndarray:
-    jac = np.zeros((s.dim_fast, s.dim_fast))
-    for j in range(s.dim_fast):
-        h = 1e-6
-        yp = np.zeros(s.dim_fast)
-        ym = np.zeros(s.dim_fast)
-        yp[j] += h
-        ym[j] -= h
-        jac[:, j] = (np.asarray(s.g(x, yp)) - np.asarray(s.g(x, ym))) / (2.0 * h)
-    return jac
+    n = s.dim_slow
+    return s.epsilon * np.linalg.solve(s.a, s.c[n:, :n] @ x)
 
 
 def manifold_second_order(s: TikhonovSystem, x: np.ndarray) -> np.ndarray:
     """Two-term manifold expansion.
 
-    y = eps A^-1 g(x,0)
-      + eps^2 A^-1 ( dg/dy A^-1 g(x,0) - A^-1 dg/dx f(x,0) ).
+    y = eps A^-1 Gx x + eps^2 A^-1 ( Gy A^-1 Gx x - A^-1 Gx Fx x ).
     """
     x = _check_x(s, x)
-    y0 = np.zeros(s.dim_fast)
-    g0 = np.asarray(s.g(x, y0), dtype=np.float64)
-    f0 = np.asarray(s.f(x, y0), dtype=np.float64)
-    ainv_g0 = np.linalg.solve(s.a, g0)
-    gy = _jacobian_g_y(s, x)
-    gx = _jacobian_g_x(s, x)
-    inner = gy @ ainv_g0 - np.linalg.solve(s.a, gx @ f0)
+    n = s.dim_slow
+    fx, gx, gy = s.c[:n, :n], s.c[n:, :n], s.c[n:, n:]
+    ainv_g0 = np.linalg.solve(s.a, gx @ x)
+    inner = gy @ ainv_g0 - np.linalg.solve(s.a, gx @ (fx @ x))
     return s.epsilon * ainv_g0 + s.epsilon**2 * np.linalg.solve(s.a, inner)
 
 
-def reduced_vector_field(s: TikhonovSystem, x: np.ndarray, order: int = 1) -> np.ndarray:
-    """Slow dynamics restricted to the manifold: f(x, y_manifold(x))."""
-    x = _check_x(s, x)
-    if order == 1:
-        y = manifold_first_order(s, x)
-    elif order == 2:
-        y = manifold_second_order(s, x)
-    else:
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    return np.asarray(s.f(x, y), dtype=np.float64)
-
-
 def integrate_full(
-    s: TikhonovSystem,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    t_end: float,
-    dt: float | None = None,
+    s: TikhonovSystem, x0: np.ndarray, y0: np.ndarray, t_end: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 integration of the complete slow/fast system to t_end."""
-    x = np.atleast_1d(np.asarray(x0, dtype=np.float64)).copy()
-    y = np.atleast_1d(np.asarray(y0, dtype=np.float64)).copy()
-    if x.shape != (s.dim_slow,) or y.shape != (s.dim_fast,):
+    """RK4 integration of the complete slow/fast system to t_end.
+
+    The step resolves the fast layer (about 20 steps per fast time
+    constant, at least 50 steps).  One RK4 step of a linear system is
+    z -> P z with P = sum_{j<=4} (dt M)^j / j!, so the run applies P^n.
+    """
+    x = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y0, dtype=np.float64))
+    n = s.dim_slow
+    if x.shape != (n,) or y.shape != (s.a.shape[0],):
         raise ValueError("initial condition dimensions do not match the system")
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
-    if dt is None:
-        # resolve the fast layer: ~20 stages per fast time constant
-        dt = min(s.epsilon / 20.0, t_end / 50.0)
-    n_steps = int(np.ceil(t_end / dt))
-    dt = t_end / n_steps
-
-    def rhs(z: np.ndarray) -> np.ndarray:
-        xz, yz = z[: s.dim_slow], z[s.dim_slow :]
-        dx = np.asarray(s.f(xz, yz), dtype=np.float64)
-        dy = -(s.a @ yz) / s.epsilon + np.asarray(s.g(xz, yz), dtype=np.float64)
-        return np.concatenate([dx, dy])
-
-    z = np.concatenate([x, y])
-    for _ in range(n_steps):
-        k1 = rhs(z)
-        k2 = rhs(z + 0.5 * dt * k1)
-        k3 = rhs(z + 0.5 * dt * k2)
-        k4 = rhs(z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return z[: s.dim_slow], z[s.dim_slow :]
+    n_steps = int(np.ceil(t_end / min(s.epsilon / 20.0, t_end / 50.0)))
+    m = s.c.copy()
+    m[n:, n:] -= s.a / s.epsilon
+    dtm = (t_end / n_steps) * m
+    step = np.eye(m.shape[0])
+    term = step
+    for j in range(1, 5):
+        term = term @ dtm / j
+        step = step + term
+    z = np.linalg.matrix_power(step, n_steps) @ np.concatenate([x, y])
+    return z[:n], z[n:]
 
 
 def expansion_residuals(
@@ -216,27 +174,3 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     coeffs = np.polyfit(lx, ly, 1)
     residual = float(np.max(np.abs(ly - np.polyval(coeffs, lx))))
     return float(coeffs[0]), residual
-
-
-DEFAULT_EPSILONS = tuple(np.geomspace(1e-3, 1e-1, 7))
-
-
-def verify_expansion_order(
-    make_system: Callable[[float], TikhonovSystem],
-    x0: np.ndarray,
-    y0: np.ndarray,
-    t_probe: float,
-    epsilons=DEFAULT_EPSILONS,
-    order: int = 1,
-) -> float:
-    """Empirical exponent of the manifold-expansion remainder.
-
-    Returns the fitted log-log slope of the residual against epsilon;
-    an order-k expansion with a nonvanishing next term gives ~k+1.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    eps = np.asarray(epsilons, dtype=np.float64)
-    r1, r2 = expansion_residuals(make_system, x0, y0, t_probe, eps)
-    slope, _ = fit_loglog_slope(eps, r1 if order == 1 else r2)
-    return slope

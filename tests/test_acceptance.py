@@ -208,11 +208,11 @@ def test_a5_conservation_and_convergence(acceptance, four_level_compare, dark_fu
     )
 
 
-def scalar_family(f, g):
+def scalar_family(c):
+    """Systems dx/dt = c00 x + c01 y, dy/dt = -y/eps + c10 x + c11 y."""
+
     def make(eps):
-        return TikhonovSystem(
-            dim_slow=1, dim_fast=1, a=np.array([[1.0]]), f=f, g=g, epsilon=eps
-        )
+        return TikhonovSystem(a=np.array([[1.0]]), c=np.array(c, dtype=float), epsilon=eps)
 
     return make
 
@@ -224,20 +224,20 @@ def test_a6_manifold_expansion_orders(acceptance):
 
     # family with no slow feedback: the order-1 remainder is O(eps^3)
     # because the eps^2 coefficient of the exact slope vanishes
-    fam_a = scalar_family(lambda x, y: y, lambda x, y: x)
+    fam_a = scalar_family([[0, 1], [1, 0]])  # f = y, g = x
     r1_a, _ = expansion_residuals(fam_a, x0, y0, 1.0, epsilons)
     slope_a1, _ = fit_loglog_slope(epsilons, r1_a)
 
     # fast self-coupling: order-1 remainder O(eps^2); the exact slope
     # eps + eps^2 - 2 eps^4 has no eps^3 term, so the order-2 remainder
     # is O(eps^4), one order better than generic
-    fam_b = scalar_family(lambda x, y: y, lambda x, y: x + y)
+    fam_b = scalar_family([[0, 1], [1, 1]])  # f = y, g = x + y
     r1_b, r2_b = expansion_residuals(fam_b, x0, y0, 1.0, epsilons)
     slope_b1, _ = fit_loglog_slope(epsilons, r1_b)
     slope_b2, _ = fit_loglog_slope(epsilons, r2_b)
 
     # coupled family with a generic O(eps^3) order-2 remainder
-    fam_c = scalar_family(lambda x, y: -x + y, lambda x, y: x + y)
+    fam_c = scalar_family([[-1, 1], [1, 1]])  # f = -x + y, g = x + y
     _, r2_c = expansion_residuals(fam_c, x0, y0, 1.0, epsilons)
     slope_c2, _ = fit_loglog_slope(epsilons, r2_c)
 

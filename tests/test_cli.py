@@ -281,6 +281,9 @@ def test_main_rejects_non_finite_model_values(tmp_path, capsys):
         "lambda_detuning": {**LAMBDA_DOC["model"], "detuning": [float("nan"), -0.2]},
         "three_scale_detuning": {**THREE_SCALE_MODEL, "detuning": [float("nan"), -0.2]},
         "three_scale_lambda_e": {**THREE_SCALE_MODEL, "lambda_e": float("inf")},
+        # integers too large for a double
+        "lambda_gamma_401_digits": {**LAMBDA_DOC["model"], "gamma": [10**400, 6.0]},
+        "three_scale_lambda_e_401_digits": {**THREE_SCALE_MODEL, "lambda_e": 10**400},
     }
     for name, model in bad_models.items():
         cfg = tmp_path / f"{name}.json"
@@ -335,6 +338,9 @@ def _four_level_doc(**overrides) -> str:
         ({}, ["--dt", "nan"], "dt"),
         ({"experiment": "sweep-eps", "sweep": {"scales": [1.0, float("nan"), 4.0, 8.0]}}, [], "sweep.scales[1]"),
         ({"experiment": "sweep-eps", "sweep": {"scales": [1.0, 2.0, float("inf"), 8.0]}}, [], "sweep.scales[2]"),
+        # integers too large for a double
+        ({"t_end": 10**400}, [], "t_end"),
+        ({"dt": 10**400}, [], "dt"),
     ],
 )
 def test_main_rejects_non_finite_run_values(tmp_path, capsys, overrides, flags, key):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cptsim.linalg import frobenius_norm, hermiticity_error, random_density
 from cptsim.models import LambdaParams, build_two_scale, generator_apply, slow_timescale
 from cptsim.reduction import (
+    SlowFastSplit,
     as_lindblad,
     bright_dark_states,
     embed_ground,
@@ -200,13 +203,47 @@ def test_standard_form_fast_map_spectrum():
     assert system.epsilon == pytest.approx(1.0 / 21.0)
 
 
-def test_standard_form_manifold_matches_closed_form():
-    rng = np.random.default_rng(16)
-    m = build_two_scale(FOUR_LEVEL)
+@st.composite
+def lambda_params(draw):
+    n = draw(st.integers(1, 4))
+    finite = {"allow_nan": False, "allow_infinity": False}
+    return LambdaParams(
+        detuning=draw(st.lists(st.floats(-5.0, 5.0, **finite), min_size=n, max_size=n)),
+        rabi=draw(
+            st.lists(
+                st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0, **finite),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        gamma=draw(st.lists(st.floats(0.5, 10.0, **finite), min_size=n, max_size=n)),
+    )
+
+
+@settings(deadline=None, max_examples=80)
+@given(lambda_params(), st.integers(0, 2**32 - 1))
+def test_standard_form_manifold_matches_closed_form(p, seed):
+    """standard_form is the master equation in split coordinates.
+
+    Its first-order manifold is the closed-form fast response, and
+    C z - (0, A y / eps) merges back to the Lindblad generator.
+    """
+    rng = np.random.default_rng(seed)
+    m = build_two_scale(p)
     system = standard_form(m)
-    for _ in range(5):
-        rho_s = embed_ground(random_density(4, rng))
-        x = herm_to_vec(rho_s)
-        via_manifold = vec_to_herm(manifold_first_order(system, x), 5)
-        direct = rho_f_first_order(rho_s, m.hamiltonian, FOUR_LEVEL.total_gamma)
-        assert np.abs(via_manifold - direct).max() < 1e-12
+    dim = m.dim
+    nvec = dim * dim
+
+    rho_s = embed_ground(random_density(dim - 1, rng))
+    via_manifold = vec_to_herm(manifold_first_order(system, herm_to_vec(rho_s)), dim)
+    direct = rho_f_first_order(rho_s, m.hamiltonian, p.total_gamma)
+    assert np.abs(via_manifold - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    rho = random_density(dim, rng)
+    parts = split_slow_fast(rho, p.gamma)
+    y = herm_to_vec(parts.rho_f)
+    dz = system.c @ np.concatenate([herm_to_vec(parts.rho_s), y])
+    dz[nvec:] -= system.a @ y / system.epsilon
+    rhs = merge(SlowFastSplit(rho_f=vec_to_herm(dz[nvec:], dim), rho_s=vec_to_herm(dz[:nvec], dim)), p.gamma)
+    expected = generator_apply(m, rho)
+    assert np.abs(rhs - expected).max() <= 1e-12 * np.abs(expected).max()

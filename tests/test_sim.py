@@ -134,9 +134,11 @@ def test_integrate_refuses_runs_over_budget():
     assert n_steps <= MAX_STEPS
     with pytest.raises(BudgetError, match="samples of dim 3"):
         integrate(m, embedded_uniform(2), t_end=n_steps * dt, dt=dt, sample_every=1)
-    # the sweep's per-scale error handling must not swallow it
-    with pytest.raises(BudgetError):
-        epsilon_sweep(TWO_LEVEL, (1.0, 2.0, 4.0, 8.0), t_end_slow=1e12)
+    # the sweep's per-scale error handling must not swallow it, and a window
+    # whose step count overflows to infinity is refused before it is counted
+    for t_end_slow in (1e12, 1e306):
+        with pytest.raises(BudgetError, match="dt_max="):
+            epsilon_sweep(TWO_LEVEL, (1.0, 2.0, 4.0, 8.0), t_end_slow=t_end_slow)
 
 
 def test_compare_full_vs_slow_grids_align():

@@ -10,34 +10,23 @@ from cptsim.tikhonov import (
     integrate_full,
     manifold_first_order,
     manifold_second_order,
-    reduced_vector_field,
     vec_to_herm,
-    verify_expansion_order,
 )
 
 
 def scalar_family_gx(eps):
-    # exact manifold slope k = eps - eps^3 + ...
-    return TikhonovSystem(
-        dim_slow=1, dim_fast=1, a=np.array([[1.0]]),
-        f=lambda x, y: y, g=lambda x, y: x, epsilon=eps,
-    )
+    # f = y, g = x; exact manifold slope k = eps - eps^3 + ...
+    return TikhonovSystem(a=np.array([[1.0]]), c=np.array([[0.0, 1.0], [1.0, 0.0]]), epsilon=eps)
 
 
 def scalar_family_gxy(eps):
-    # exact slope k = eps + eps^2 - 2 eps^4 + ... (no eps^3 term)
-    return TikhonovSystem(
-        dim_slow=1, dim_fast=1, a=np.array([[1.0]]),
-        f=lambda x, y: y, g=lambda x, y: x + y, epsilon=eps,
-    )
+    # f = y, g = x + y; exact slope k = eps + eps^2 - 2 eps^4 + ... (no eps^3 term)
+    return TikhonovSystem(a=np.array([[1.0]]), c=np.array([[0.0, 1.0], [1.0, 1.0]]), epsilon=eps)
 
 
 def scalar_family_coupled(eps):
-    # exact slope k = eps + 2 eps^2 + 3 eps^3 + ...
-    return TikhonovSystem(
-        dim_slow=1, dim_fast=1, a=np.array([[1.0]]),
-        f=lambda x, y: -x + y, g=lambda x, y: x + y, epsilon=eps,
-    )
+    # f = -x + y, g = x + y; exact slope k = eps + 2 eps^2 + 3 eps^3 + ...
+    return TikhonovSystem(a=np.array([[1.0]]), c=np.array([[-1.0, 1.0], [1.0, 1.0]]), epsilon=eps)
 
 
 def test_herm_vec_roundtrip():
@@ -57,16 +46,11 @@ def test_herm_to_vec_rejects_non_hermitian():
 
 
 def test_system_rejects_unstable_fast_map():
+    c = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        TikhonovSystem(
-            dim_slow=1, dim_fast=1, a=np.array([[-1.0]]),
-            f=lambda x, y: y, g=lambda x, y: x, epsilon=0.1,
-        )
+        TikhonovSystem(a=np.array([[-1.0]]), c=c, epsilon=0.1)
     with pytest.raises(ValueError):
-        TikhonovSystem(
-            dim_slow=1, dim_fast=1, a=np.array([[1.0]]),
-            f=lambda x, y: y, g=lambda x, y: x, epsilon=0.0,
-        )
+        TikhonovSystem(a=np.array([[1.0]]), c=c, epsilon=0.0)
 
 
 def test_manifold_first_order_scalar_value():
@@ -88,15 +72,6 @@ def test_manifold_second_order_with_slow_coupling():
     s = scalar_family_coupled(0.05)
     y2 = manifold_second_order(s, np.array([1.0]))
     np.testing.assert_allclose(y2, [0.05 + 2 * 0.05**2], atol=1e-9)
-
-
-def test_reduced_vector_field_orders():
-    s = scalar_family_gxy(0.1)
-    x = np.array([2.0])
-    v1 = reduced_vector_field(s, x, order=1)
-    v2 = reduced_vector_field(s, x, order=2)
-    np.testing.assert_allclose(v1, [0.2])
-    np.testing.assert_allclose(v2, [0.22], atol=1e-8)
 
 
 def test_integrate_full_tracks_slow_solution():
@@ -130,22 +105,3 @@ def test_expansion_residuals_shrink_with_epsilon():
     assert np.all(np.diff(r1) > 0.0)
     assert np.all(np.diff(r2) > 0.0)
     assert np.all(r2 < r1)
-
-
-def test_verify_expansion_order_first_order():
-    slope = verify_expansion_order(
-        scalar_family_coupled,
-        np.array([1.0]),
-        np.array([0.0]),
-        t_probe=1.0,
-        epsilons=np.geomspace(1e-3, 1e-2, 4),
-        order=1,
-    )
-    assert 1.6 <= slope <= 2.4
-
-
-def test_verify_expansion_order_rejects_bad_order():
-    with pytest.raises(ValueError):
-        verify_expansion_order(
-            scalar_family_gx, np.array([1.0]), np.array([0.0]), 1.0, order=3
-        )
