@@ -179,17 +179,19 @@ class LindbladModel:
     def __post_init__(self):
         h = _check_square(self.hamiltonian, "hamiltonian")
         object.__setattr__(self, "hamiltonian", h)
+        if not np.isfinite(h).all():
+            raise ValueError("hamiltonian contains non-finite entries")
         err = hermiticity_error(h)
         if err > 1e-12:
             raise ValueError(f"hamiltonian not Hermitian (deviation {err:.3e})")
-        jumps = tuple((float(r), as_complex(q)) for r, q in self.jumps)
-        for r, q in jumps:
-            if q.shape != h.shape:
-                raise ValueError(f"jump operator shape {q.shape} does not match dim {h.shape[0]}")
-        object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(
-            self, "output_weights", tuple((float(r), as_complex(q)) for r, q in self.output_weights)
-        )
+        for name in ("jumps", "output_weights"):
+            pairs = tuple((float(r), as_complex(q)) for r, q in getattr(self, name))
+            for k, (r, q) in enumerate(pairs):
+                if q.shape != h.shape:
+                    raise ValueError(f"{name}[{k}] shape {q.shape} does not match dim {h.shape[0]}")
+                if not (np.isfinite(r) and np.isfinite(q).all()):
+                    raise ValueError(f"{name}[{k}] contains non-finite entries")
+            object.__setattr__(self, name, pairs)
 
     @property
     def dim(self) -> int:

@@ -167,7 +167,8 @@ def _finalize(m: LindbladModel, samples: np.ndarray, sample_idx: np.ndarray, dt:
         )
         if not report.ok:
             raise IntegrationError(
-                f"state invariant breach at t={times[i]:.6g} ({m.label}): {report}"
+                f"state invariant breach at step {sample_idx[i]}, t={times[i]:.6g} "
+                f"({m.label}): {report}"
             )
         max_herm = max(max_herm, report.herm_deviation)
         min_eig = min(min_eig, report.min_eigenvalue)
@@ -194,10 +195,13 @@ def integrate(m: LindbladModel, rho0: np.ndarray, t_end: float, dt: float,
               sample_every: int = 10) -> Trajectory:
     """Evolve a model with fixed-step RK4.
 
-    A driven model adds u(t) [H1, .] to the static generator at each RK4
-    stage.  dt is trimmed so an integer number of steps lands exactly on
-    t_end.  Every step is followed by Hermitian projection; the trace is
-    renormalized when it drifts beyond 1e-12 (counted in meta).  Runs
+    A static model jumps from sample to sample with a cached power of the
+    RK4 step matrix; a driven model adds u(t) [H1, .] to the static
+    generator at each RK4 stage and is stepped one step at a time.  dt is
+    trimmed so an integer number of steps lands exactly on t_end.  Every
+    update (per sample when static, per step when driven) is followed by
+    Hermitian projection; the trace is renormalized when it drifts beyond
+    1e-12 (counted in meta; meta["n_steps"] counts RK4 steps).  Runs
     beyond MAX_STEPS steps or MAX_SAMPLE_BYTES of samples raise
     BudgetError before anything is allocated.
     """

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from cptsim.kernels import (
     diag_indices_vec,
+    rk4_increment,
     rk4_superop,
     sample_indices,
     transpose_indices,
@@ -69,7 +70,7 @@ def test_rk4_renormalization_counter():
 
 
 def reference_static(lmat, v0, dt, n_steps, sample_idx, trans_idx, diag_idx, renorm_tol):
-    """The static RK4 loop as it was before the drive was folded in."""
+    """The per-step static RK4 loop, projecting and checking the trace after every step."""
     d2 = v0.shape[0]
     n_out = sample_idx.shape[0]
     out = np.empty((n_out, d2), dtype=np.complex128)
@@ -158,17 +159,22 @@ finite = dict(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def driven_models(draw):
+def lambda_params(draw):
     n = draw(st.integers(1, 3))
-    n_tones = draw(st.integers(1, 2))
-    p = LambdaParams(
+    return LambdaParams(
         detuning=draw(st.lists(st.floats(-2.0, 2.0, **finite), min_size=n, max_size=n)),
         rabi=draw(st.lists(st.complex_numbers(max_magnitude=2.0, **finite), min_size=n, max_size=n)),
         gamma=draw(st.lists(st.floats(0.5, 10.0, **finite), min_size=n, max_size=n)),
     )
-    static = build_two_scale(p)
+
+
+@st.composite
+def driven_models(draw):
+    static = build_two_scale(draw(lambda_params()))
+    n_tones = draw(st.integers(1, 2))
+    dim = static.dim
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    h1 = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+    h1 = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     drive = DriveSpec(
         h1=h1 + h1.conj().T,
         amplitudes=tuple(
@@ -177,12 +183,12 @@ def driven_models(draw):
         frequencies=tuple(draw(st.lists(st.floats(-100.0, 100.0, **finite), min_size=n_tones, max_size=n_tones))),
     )
     m = LindbladModel(static.hamiltonian, static.jumps, static.output_weights, drive=drive)
-    return m, random_density(n + 1, rng)
+    return m, random_density(dim, rng)
 
 
 @settings(deadline=None, max_examples=40)
 @given(driven_models(), st.integers(1, 200), st.integers(1, 50), st.floats(0.1, 1.0))
-def test_merged_loop_matches_reference_loops(model_and_state, n_steps, sample_every, dt_frac):
+def test_driven_loop_matches_reference_loop(model_and_state, n_steps, sample_every, dt_frac):
     m, rho0 = model_and_state
     dim = m.dim
     dt = dt_frac * dt_max(m)
@@ -199,12 +205,56 @@ def test_merged_loop_matches_reference_loops(model_and_state, n_steps, sample_ev
     )
     assert np.array_equal(got[0], want[0])
     assert got[1:] == want[1:]
-    got = rk4_superop(l0, v0, dt, n_steps, idx, TRACE_DRIFT_TOL)
-    want = reference_static(
+
+
+@settings(deadline=None, max_examples=60)
+@given(lambda_params(), st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(1, 60),
+       st.floats(0.1, 1.0))
+def test_static_propagator_matches_reference_loop(p, seed, n_steps, sample_every, dt_frac):
+    m = build_two_scale(p)
+    dim = m.dim
+    dt = dt_frac * dt_max(m)
+    v0 = random_density(dim, np.random.default_rng(seed)).ravel()
+    idx = sample_indices(n_steps, sample_every)
+    l0 = liouvillian(m)
+    got, _, _ = rk4_superop(l0, v0, dt, n_steps, idx, TRACE_DRIFT_TOL)
+    want, _, _ = reference_static(
         l0, v0, dt, n_steps, idx, transpose_indices(dim), diag_indices_vec(dim), TRACE_DRIFT_TOL
     )
-    assert np.array_equal(got[0], want[0])
-    assert got[1:] == want[1:]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(lambda_params(), st.floats(0.1, 1.0))
+def test_rk4_increment_preserves_trace_and_hermiticity(p, dt_frac):
+    m = build_two_scale(p)
+    dim = m.dim
+    l0 = liouvillian(m)
+    dt = dt_frac * dt_max(m)
+    a = dt * l0
+    eye = np.eye(dim * dim)
+    step = eye + a + a @ a / 2.0 + a @ a @ a / 6.0 + a @ a @ a @ a / 24.0
+    transposed = transpose_indices(dim)
+    for k in (1, 2, 7, 48, 4000):
+        q = rk4_increment(l0, dt, k)
+        # vec(I)^T Q_k = 0: the trace of v + Q_k v is the trace of v
+        np.testing.assert_allclose(q[diag_indices_vec(dim)].sum(axis=0), 0.0, atol=1e-12)
+        # Q_k vec(rho^dag) = (Q_k vec(rho))^dag
+        np.testing.assert_allclose(q[np.ix_(transposed, transposed)], q.conj(), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(eye + q, np.linalg.matrix_power(step, k), rtol=0.0, atol=1e-12)
+
+
+def test_non_finite_state_is_recorded_as_nan_drift():
+    d = 2
+    lmat = np.full((d * d, d * d), np.nan, dtype=np.complex128)
+    v0 = (np.eye(d, dtype=np.complex128) / d).ravel()
+    idx = sample_indices(10, 5)
+    static = rk4_superop(lmat, v0, 0.01, 10, idx, 1e-12)
+    driven = rk4_superop(lmat, v0, 0.01, 10, idx, 1e-12, l1=np.zeros_like(lmat), u=lambda t: 0.0)
+    for samples, n_renorm, drift in (static, driven):
+        assert np.isnan(drift)
+        assert n_renorm == 0
+        assert np.isnan(samples[-1]).all()
 
 
 def test_package_exports_resolve():

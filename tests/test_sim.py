@@ -14,6 +14,7 @@ from cptsim.sim import (
     MAX_SAMPLE_BYTES,
     MAX_STEPS,
     BudgetError,
+    IntegrationError,
     auto_dt,
     compare_full_vs_slow,
     conservation_report,
@@ -119,8 +120,17 @@ def test_driven_with_zero_amplitude_matches_static():
     rho0 = embedded_uniform(2)
     a = integrate(static, rho0, t_end=0.5, dt=5e-4, sample_every=100)
     b = integrate(driven, rho0, t_end=0.5, dt=5e-4, sample_every=100)
-    # u = 0 adds exact zeros at every stage
-    assert np.array_equal(a.states, b.states)
+    # the static model jumps between samples with a powered step matrix,
+    # the driven one steps; both apply the same RK4 polynomial
+    np.testing.assert_allclose(a.states, b.states, rtol=0.0, atol=1e-12)
+
+
+def test_invariant_breach_names_the_step():
+    # negative rates run the decay backwards and break positivity
+    m = build_two_scale(TWO_LEVEL)
+    anti = LindbladModel(m.hamiltonian, tuple((-r, q) for r, q in m.jumps), m.output_weights)
+    with pytest.raises(IntegrationError, match=r"at step 40, t=0\.04 "):
+        integrate(anti, embedded_uniform(2), t_end=1.0, dt=1e-3, sample_every=10)
 
 
 def test_integrate_refuses_runs_over_budget():
