@@ -28,6 +28,7 @@ from . import __version__
 from .linalg import random_density, validate_density
 from .models import (
     LambdaParams,
+    LindbladModel,
     ThreeScaleParams,
     build_three_scale,
     build_two_scale,
@@ -88,7 +89,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description; equality round-trips through render_config."""
+    """Validated run description."""
 
     model: LambdaParams | ThreeScaleParams
     experiment: str
@@ -113,10 +114,6 @@ def _require(obj: dict, key: str, where: str = ""):
     return obj[key]
 
 
-def _positive_finite(x: float) -> bool:
-    return x > 0.0 and math.isfinite(x)
-
-
 def _number(x, key: str) -> float:
     """A config value as a finite float; anything else is a ConfigError naming key."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -128,6 +125,15 @@ def _number(x, key: str) -> float:
     if not math.isfinite(x):
         raise ConfigError(f"{key} must be finite, got {x}")
     return x
+
+
+def _dt_from(x) -> float | str:
+    """dt from the config file or --dt: 'auto' or a positive finite number."""
+    if x == "auto":
+        return x
+    if isinstance(x, str) or _number(x, "dt") <= 0.0:
+        raise ConfigError(f"dt must be a positive number or 'auto', got {x!r}")
+    return float(x)
 
 
 def _float_list(obj, name: str) -> list[float]:
@@ -254,14 +260,7 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
         raise ConfigError(
             f"t_end_units must be 'absolute' or 'slow_timescale', got {t_end_units!r}"
         )
-    dt = doc.get("dt", "auto")
-    if isinstance(dt, str):
-        if dt != "auto":
-            raise ConfigError(f"dt must be a positive number or 'auto', got {dt!r}")
-    else:
-        dt = _number(dt, "dt")
-        if dt <= 0.0:
-            raise ConfigError(f"dt must be a positive number or 'auto', got {dt!r}")
+    dt = _dt_from(doc.get("dt", "auto"))
     sample_every = doc.get("sample_every", 10)
     if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
         raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
@@ -288,47 +287,6 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
         sweep_scales=sweep_scales,
         output_path=output_path,
     )
-
-
-def render_config(config: RunConfig) -> str:
-    """Canonical JSON for a RunConfig; parse_config inverts it exactly."""
-    if isinstance(config.model, LambdaParams):
-        model = {
-            "type": "lambda",
-            "detuning": list(config.model.detuning),
-            "rabi_re": [z.real for z in config.model.rabi],
-            "rabi_im": [z.imag for z in config.model.rabi],
-            "gamma": list(config.model.gamma),
-        }
-    else:
-        model = {
-            "type": "three_scale",
-            "lambda_e": config.model.lambda_e,
-            "lambda_g": list(config.model.lambda_g),
-            "mu": list(config.model.mu),
-            "u_re": [z.real for z in config.model.u_amp],
-            "u_im": [z.imag for z in config.model.u_amp],
-            "detuning": list(config.model.detuning),
-            "gamma": list(config.model.gamma),
-        }
-    doc: dict = {"model": model, "experiment": config.experiment}
-    if isinstance(config.initial_state, str):
-        doc["initial_state"] = config.initial_state
-    else:
-        doc["initial_state"] = {
-            "re": [[z.real for z in row] for row in config.initial_state],
-            "im": [[z.imag for z in row] for row in config.initial_state],
-        }
-    if config.t_end is not None:
-        doc["t_end"] = config.t_end
-        doc["t_end_units"] = config.t_end_units
-    doc["dt"] = config.dt
-    doc["sample_every"] = config.sample_every
-    if config.sweep_scales is not None:
-        doc["sweep"] = {"scales": list(config.sweep_scales)}
-    if config.output_path is not None:
-        doc["output_path"] = config.output_path
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _fmt(x) -> str:
@@ -481,10 +439,11 @@ def _run_simulate_slow(config: RunConfig):
     return _simulate_output(traj, np.column_stack([np.zeros(len(pops)), pops]))
 
 
-def _compare_output(config: RunConfig, p: LambdaParams, rho0_ground: np.ndarray):
+def _compare_output(config: RunConfig, p: LambdaParams, m_full: LindbladModel,
+                    m_slow: LindbladModel, rho0_ground: np.ndarray):
     """Full and reduced runs on the config's clock, with their CSV table and meta."""
     result = compare_full_vs_slow(
-        p, rho0_ground, _resolve_t_end(config, p), _fixed_dt(config), config.sample_every
+        m_full, m_slow, rho0_ground, _resolve_t_end(config, p), _fixed_dt(config), config.sample_every
     )
     header = "t,y_full,y_slow,dist_frobenius"
     rows = [
@@ -497,7 +456,10 @@ def _compare_output(config: RunConfig, p: LambdaParams, rho0_ground: np.ndarray)
 
 def _run_compare(config: RunConfig):
     p = _lambda_params(config)
-    result, header, rows, meta = _compare_output(config, p, _ground_initial_state(config, p))
+    rho0_ground = _ground_initial_state(config, p)
+    m_full = build_two_scale(p)
+    m_slow = as_lindblad(reduce_model(m_full))
+    result, header, rows, meta = _compare_output(config, p, m_full, m_slow, rho0_ground)
     summary = [
         f"T_s: {_fmt(slow_timescale(p))}",
         f"dist_max: {_fmt(result.distances.max())}",
@@ -569,7 +531,8 @@ def _run_dark_state_check(config: RunConfig):
     p = _lambda_params(config)
     if p.n_ground < 2:
         raise ConfigError("dark-state-check needs at least 2 ground states")
-    rm = reduce_model(build_two_scale(p))
+    m_full = build_two_scale(p)
+    rm = reduce_model(m_full)
     try:
         _, darks = bright_dark_states(p.rabi)
     except ValueError as exc:
@@ -578,7 +541,7 @@ def _run_dark_state_check(config: RunConfig):
     rho_dark = np.outer(dark, dark.conj())
     gen_norm = equilibrium_check(rm, rho_dark)
     y_dark = slow_output(rm, rho_dark)
-    result, header, rows, meta = _compare_output(config, p, rho_dark)
+    result, header, rows, meta = _compare_output(config, p, m_full, as_lindblad(rm), rho_dark)
     y_slow_max = max(slow_output(rm, rho) for rho in result.slow.states)
     y_full_max = float(result.full.outputs.max())
     summary = [
@@ -649,16 +612,15 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig, config_bytes: bytes | None = None) -> dict:
+def run(config: RunConfig, config_bytes: bytes) -> dict:
     """Execute the configured experiment and write its artifacts.
 
-    Returns {"csv": path, "summary": path}.  Raises ConfigError for
-    invalid configurations and lets computation errors propagate.
+    config_bytes is the config file as read; summary.txt records its
+    sha256.  Returns {"csv": path, "summary": path}.  Raises ConfigError
+    for invalid configurations and lets computation errors propagate.
     """
     if config.output_path is None:
         raise ConfigError("missing key: output_path")
-    if config_bytes is None:
-        config_bytes = render_config(config).encode("utf-8")
     config_sha = hashlib.sha256(config_bytes).hexdigest()
     header, rows, meta_extra, summary_lines = _RUNNERS[config.experiment](config)
     outdir = config.output_path
@@ -696,9 +658,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(raw.decode("utf-8"), experiment=args.experiment)
         if args.dt is not None:
-            if not _positive_finite(args.dt):
-                raise ConfigError(f"dt must be positive and finite, got {args.dt}")
-            config = dataclasses.replace(config, dt=float(args.dt))
+            config = dataclasses.replace(config, dt=_dt_from(args.dt))
         if args.out is not None:
             config = dataclasses.replace(config, output_path=args.out)
         paths = run(config, config_bytes=raw)

@@ -65,23 +65,6 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(as_complex(a)))
 
 
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """sqrt(Tr[(A-B)^2]) for Hermitian A, B.
-
-    Equals the Frobenius norm of A - B; rejects inputs that are not
-    Hermitian within HERM_TOL because the trace form is only a metric
-    on Hermitian operators.
-    """
-    a = _check_square(a, "A")
-    b = _check_square(b, "B")
-    _check_same_dim(a, b)
-    for name, m in (("A", a), ("B", b)):
-        err = hermiticity_error(m)
-        if err > HERM_TOL:
-            raise ValueError(f"{name} is not Hermitian (deviation {err:.3e})")
-    return float(np.linalg.norm(a - b))
-
-
 def spectral_norm_hermitian(a: np.ndarray) -> float:
     """2-norm of a Hermitian matrix (largest |eigenvalue|)."""
     a = _check_square(a)

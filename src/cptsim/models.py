@@ -8,6 +8,7 @@ hbar (hbar = 1 convention), in angular-frequency units.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -58,6 +59,12 @@ class LambdaParams:
         for k, g in enumerate(self.gamma):
             if g <= 0.0:
                 raise ValueError(f"gamma[{k}] must be positive, got {g}")
+        try:
+            power = self.rabi_power
+        except OverflowError:  # a float ** 2 that overflows raises instead of giving inf
+            power = math.inf
+        if not math.isfinite(power):
+            raise ValueError("rabi amplitudes too large: sum of |rabi_k|^2 is not finite")
 
     @property
     def n_ground(self) -> int:
@@ -163,16 +170,15 @@ class DriveSpec:
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian, weighted jump operators and the photon-count output map.
+    """Hamiltonian and weighted jump operators, which are also the output map.
 
-    jumps and output_weights are (rate, operator) pairs; the generator is
+    jumps are (rate, operator) pairs; the generator is
     -i[H, rho] + sum_k (rate_k/2) (2 Q rho Q^dag - Q^dag Q rho - rho Q^dag Q)
-    and the output is y = sum_k rate_k Tr(Q^dag Q rho).
+    and the photon count of the same jumps is y = sum_k rate_k Tr(Q^dag Q rho).
     """
 
     hamiltonian: np.ndarray
     jumps: tuple[tuple[float, np.ndarray], ...]
-    output_weights: tuple[tuple[float, np.ndarray], ...]
     drive: DriveSpec | None = None
     label: str = "lindblad"
 
@@ -184,14 +190,13 @@ class LindbladModel:
         err = hermiticity_error(h)
         if err > 1e-12:
             raise ValueError(f"hamiltonian not Hermitian (deviation {err:.3e})")
-        for name in ("jumps", "output_weights"):
-            pairs = tuple((float(r), as_complex(q)) for r, q in getattr(self, name))
-            for k, (r, q) in enumerate(pairs):
-                if q.shape != h.shape:
-                    raise ValueError(f"{name}[{k}] shape {q.shape} does not match dim {h.shape[0]}")
-                if not (np.isfinite(r) and np.isfinite(q).all()):
-                    raise ValueError(f"{name}[{k}] contains non-finite entries")
-            object.__setattr__(self, name, pairs)
+        jumps = tuple((float(r), as_complex(q)) for r, q in self.jumps)
+        for k, (r, q) in enumerate(jumps):
+            if q.shape != h.shape:
+                raise ValueError(f"jumps[{k}] shape {q.shape} does not match dim {h.shape[0]}")
+            if not (np.isfinite(r) and np.isfinite(q).all()):
+                raise ValueError(f"jumps[{k}] contains non-finite entries")
+        object.__setattr__(self, "jumps", jumps)
 
     @property
     def dim(self) -> int:
@@ -226,11 +231,9 @@ def effective_hamiltonian(p: LambdaParams) -> np.ndarray:
 
 def build_two_scale(p: LambdaParams) -> LindbladModel:
     """Two-scale Lambda model: effective Hamiltonian plus spontaneous emission."""
-    jumps = _lambda_jumps(p.n_ground, p.gamma)
     return LindbladModel(
         hamiltonian=effective_hamiltonian(p),
-        jumps=jumps,
-        output_weights=jumps,
+        jumps=_lambda_jumps(p.n_ground, p.gamma),
         label=f"lambda(N={p.n_ground})",
     )
 
@@ -264,11 +267,9 @@ def build_three_scale(p: ThreeScaleParams) -> LindbladModel:
         amplitudes=p.u_amp,
         frequencies=tuple(w - d for w, d in zip(p.omega, p.detuning)),
     )
-    jumps = _lambda_jumps(n, p.gamma)
     return LindbladModel(
         hamiltonian=h0,
-        jumps=jumps,
-        output_weights=jumps,
+        jumps=_lambda_jumps(n, p.gamma),
         drive=drive,
         label=f"three_scale(N={n})",
     )

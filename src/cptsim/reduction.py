@@ -85,12 +85,6 @@ def embed_ground(rho_ground: np.ndarray) -> np.ndarray:
     return out
 
 
-def ground_block(rho: np.ndarray) -> np.ndarray:
-    """Extract the N x N ground block of an (N+1)-dim state."""
-    rho = _check_square(rho, "rho")
-    return rho[1:, 1:].copy()
-
-
 def rho_f_first_order(rho_s: np.ndarray, h: np.ndarray, total_gamma: float) -> np.ndarray:
     """Leading fast response dragged along by a slow state.
 
@@ -127,7 +121,6 @@ class ReducedModel:
     jumps_slow: tuple[tuple[float, np.ndarray], ...]
     bright_state: np.ndarray
     gamma_slow: tuple[float, ...]
-    p_bar: np.ndarray
     total_gamma: float
 
 
@@ -171,6 +164,8 @@ def bright_dark_states(rabi) -> tuple[np.ndarray, list[np.ndarray]]:
     norm = np.linalg.norm(omega)
     if norm == 0.0:
         raise ValueError("bright state undefined: all Rabi amplitudes are zero")
+    if not np.isfinite(norm):
+        raise ValueError("bright state undefined: the norm of the Rabi amplitudes is not finite")
     bright = omega / norm
     first = np.flatnonzero(np.abs(bright) > 0.0)[0]
     phase = bright[first] / abs(bright[first])
@@ -221,14 +216,12 @@ def reduce_model(m: LindbladModel) -> ReducedModel:
         bright, _ = bright_dark_states(omega)
     else:
         bright = np.zeros(n, dtype=np.complex128)
-    p_bar = np.outer(omega, omega.conj()) / total**2
     return ReducedModel(
         n_ground=n,
         hamiltonian_slow=h_s,
         jumps_slow=tuple(jumps),
         bright_state=bright,
         gamma_slow=gamma_slow,
-        p_bar=p_bar,
         total_gamma=total,
     )
 
@@ -238,7 +231,6 @@ def as_lindblad(rm: ReducedModel) -> LindbladModel:
     return LindbladModel(
         hamiltonian=rm.hamiltonian_slow,
         jumps=rm.jumps_slow,
-        output_weights=rm.jumps_slow,
         label=f"slow(N={rm.n_ground})",
     )
 

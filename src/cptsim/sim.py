@@ -173,7 +173,7 @@ def _finalize(m: LindbladModel, samples: np.ndarray, sample_idx: np.ndarray, dt:
         max_herm = max(max_herm, report.herm_deviation)
         min_eig = min(min_eig, report.min_eigenvalue)
     weight = np.zeros((dim, dim), dtype=np.complex128)
-    for rate, q in m.output_weights:
+    for rate, q in m.jumps:
         weight += rate * (q.conj().T @ q)
     outputs = np.einsum("ij,nji->n", weight, states).real
     outputs[(outputs < 0.0) & (outputs >= -1e-12)] = 0.0
@@ -223,33 +223,22 @@ class CompareResult(NamedTuple):
     distances: np.ndarray
 
 
-def compare_full_vs_slow(p: LambdaParams, rho0_ground: np.ndarray, t_end: float,
-                         dt: float | None = None, sample_every: int = 10) -> CompareResult:
-    """Run the full model and its reduction side by side on one grid.
+def compare_full_vs_slow(m_full: LindbladModel, m_slow: LindbladModel, rho0_ground: np.ndarray,
+                         t_end: float, dt: float | None = None,
+                         sample_every: int = 10) -> CompareResult:
+    """Run a full model and its reduction side by side on one grid.
 
-    rho0_ground lives on the N-dim ground block and is embedded with an
-    empty excited row/column for the full model, so both start at the
+    rho0_ground lives on the N-dim ground block of m_slow and is embedded
+    with an empty excited row/column for m_full, so both start at the
     same state.  distances[i] is the Frobenius distance between the full
     state and the embedded slow state at sample i.  dt=None takes the
     smaller of the two models' auto steps.
     """
-    rho0_ground = as_complex(_check_square(rho0_ground, "rho0_ground"))
-    if rho0_ground.shape[0] != p.n_ground:
-        raise ValueError(
-            f"rho0_ground is {rho0_ground.shape[0]}-dim, expected {p.n_ground} ground states"
-        )
-    m_full = build_two_scale(p)
-    m_slow = as_lindblad(reduce_model(m_full))
     if dt is None:
         dt = _shared_auto_dt(t_end, m_full, m_slow)
-    return _compare_models(m_full, m_slow, rho0_ground, t_end, dt, sample_every)
-
-
-def _compare_models(m_full: LindbladModel, m_slow: LindbladModel, rho0_ground: np.ndarray,
-                    t_end: float, dt: float, sample_every: int) -> CompareResult:
-    """The full/slow pair of compare_full_vs_slow, from models already built."""
-    traj_full = integrate(m_full, embed_ground(rho0_ground), t_end, dt, sample_every)
+    # the slow run goes first, so a mis-sized rho0_ground is named as given
     traj_slow = integrate(m_slow, rho0_ground, t_end, dt, sample_every)
+    traj_full = integrate(m_full, embed_ground(rho0_ground), t_end, dt, sample_every)
     embedded = np.zeros_like(traj_full.states)
     embedded[:, 1:, 1:] = traj_slow.states
     diff = traj_full.states - embedded
@@ -292,7 +281,7 @@ def epsilon_sweep(p_base: LambdaParams, scale_factors, t_end_slow: float,
     ratio epsilon = (sum|Omega| + sum|delta|) / (s sum Gamma) smaller; the
     run window grows with s so it covers the same multiple of the slow
     time.  dt_policy is the step at s = 1, divided by s for each factor;
-    None takes the auto step of compare_full_vs_slow.  Fits log(sup
+    None takes the shared auto step of the full and slow models.  Fits log(sup
     distance) against log(epsilon) over the points inside the asymptotic
     regime epsilon <= eps_fit_max (all points if fewer than 3 qualify).
     """
@@ -324,7 +313,7 @@ def epsilon_sweep(p_base: LambdaParams, scale_factors, t_end_slow: float,
             dt = float(dt_policy) / s
         sample_every = max(1, _step_count(m_full, t_end, dt) // sample_target)
         try:
-            result = _compare_models(m_full, m_slow, rho0, t_end, dt, sample_every)
+            result = compare_full_vs_slow(m_full, m_slow, rho0, t_end, dt, sample_every)
         except (IntegrationError, ValueError) as exc:
             failures.append(f"s={s}: {exc}")
             continue

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .kernels import rk4_increment
 from .linalg import as_complex, hermiticity_error
 
 
@@ -116,8 +117,9 @@ def integrate_full(
     """RK4 integration of the complete slow/fast system to t_end.
 
     The step resolves the fast layer (about 20 steps per fast time
-    constant, at least 50 steps).  One RK4 step of a linear system is
-    z -> P z with P = sum_{j<=4} (dt M)^j / j!, so the run applies P^n.
+    constant, at least 50 steps).  The system is linear, dz/dt = M z, so
+    the n steps take z to z + Q_n z with the increment Q_n of
+    kernels.rk4_increment.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y0, dtype=np.float64))
@@ -129,13 +131,8 @@ def integrate_full(
     n_steps = int(np.ceil(t_end / min(s.epsilon / 20.0, t_end / 50.0)))
     m = s.c.copy()
     m[n:, n:] -= s.a / s.epsilon
-    dtm = (t_end / n_steps) * m
-    step = np.eye(m.shape[0])
-    term = step
-    for j in range(1, 5):
-        term = term @ dtm / j
-        step = step + term
-    z = np.linalg.matrix_power(step, n_steps) @ np.concatenate([x, y])
+    z = np.concatenate([x, y])
+    z = z + rk4_increment(m, t_end / n_steps, n_steps) @ z
     return z[:n], z[n:]
 
 

@@ -17,6 +17,7 @@ from cptsim.models import (
     slow_timescale,
 )
 from cptsim.reduction import (
+    as_lindblad,
     bright_dark_states,
     embed_ground,
     merge,
@@ -57,7 +58,8 @@ DARK_PARAMS = LambdaParams(detuning=(0.0, 0.0), rabi=(1.0, 1.0), gamma=(5.0, 5.0
 def four_level_compare():
     t_end = 2.5 * slow_timescale(FOUR_LEVEL)
     rho0 = np.eye(4, dtype=np.complex128) / 4
-    return compare_full_vs_slow(FOUR_LEVEL, rho0, t_end, dt=1e-3)
+    m_full = build_two_scale(FOUR_LEVEL)
+    return compare_full_vs_slow(m_full, as_lindblad(reduce_model(m_full)), rho0, t_end, dt=1e-3)
 
 
 @pytest.fixture(scope="module")

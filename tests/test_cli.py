@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -10,7 +11,6 @@ from cptsim.cli import (
     RunConfig,
     main,
     parse_config,
-    render_config,
     run,
 )
 from cptsim.models import LambdaParams, ThreeScaleParams
@@ -29,6 +29,9 @@ LAMBDA_DOC = {
     "experiment": "compare",
     "output_path": "out",
 }
+
+
+LAMBDA_PARAMS = LambdaParams(detuning=(0.3, -0.2), rabi=(1.0, 0.8), gamma=(4.0, 6.0))
 
 
 def doc(**overrides):
@@ -109,7 +112,15 @@ def test_subcommand_overrides_file_experiment():
 
 def test_parse_render_round_trip_lambda():
     config = parse_config(doc(dt=0.001, sample_every=7, t_end_units="slow_timescale"))
-    assert parse_config(render_config(config)) == config
+    assert config == RunConfig(
+        model=LAMBDA_PARAMS,
+        experiment="compare",
+        t_end=1.0,
+        t_end_units="slow_timescale",
+        dt=0.001,
+        sample_every=7,
+        output_path="out",
+    )
 
 
 def test_parse_render_round_trip_three_scale():
@@ -130,9 +141,19 @@ def test_parse_render_round_trip_three_scale():
             "output_path": "out",
         }
     )
-    config = parse_config(document)
-    assert isinstance(config.model, ThreeScaleParams)
-    assert parse_config(render_config(config)) == config
+    assert parse_config(document) == RunConfig(
+        model=ThreeScaleParams(
+            lambda_e=200.0,
+            lambda_g=(0.0,),
+            mu=(1.0,),
+            u_amp=(0.5 + 0.1j,),
+            detuning=(0.0,),
+            gamma=(5.0,),
+        ),
+        experiment="rwa-check",
+        t_end=2.0,
+        output_path="out",
+    )
 
 
 def test_parse_render_round_trip_explicit_matrix():
@@ -143,7 +164,19 @@ def test_parse_render_round_trip_explicit_matrix():
         }
     )
     config = parse_config(document)
-    assert parse_config(render_config(config)) == config
+    assert config.initial_state == (
+        (0.5, 0.0, 0.0),
+        (0.0, 0.25, 0.1 + 0.05j),
+        (0.0, 0.1 - 0.05j, 0.25),
+    )
+    assert all(isinstance(z, complex) for row in config.initial_state for z in row)
+    assert config == RunConfig(
+        model=LAMBDA_PARAMS,
+        experiment="compare",
+        initial_state=config.initial_state,
+        t_end=1.0,
+        output_path="out",
+    )
 
 
 def test_bundled_configs_parse():
@@ -154,8 +187,8 @@ def test_bundled_configs_parse():
 
 
 def test_run_compare_writes_expected_artifacts(tmp_path):
-    config = parse_config(doc(dt=0.001, output_path=str(tmp_path / "a")))
-    paths = run(config)
+    text = doc(dt=0.001, output_path=str(tmp_path / "a"))
+    paths = run(parse_config(text), text.encode())
     with open(paths["csv"]) as fh:
         header = fh.readline().strip()
         first = fh.readline().strip()
@@ -164,16 +197,16 @@ def test_run_compare_writes_expected_artifacts(tmp_path):
     with open(paths["summary"]) as fh:
         summary = fh.read()
     assert "tool_version:" in summary
-    assert "config_sha256:" in summary
+    assert f"config_sha256: {hashlib.sha256(text.encode()).hexdigest()}" in summary
     assert "backend:" in summary
     assert "np.float64" not in summary
 
 
 def test_run_is_byte_deterministic(tmp_path):
-    config = parse_config(doc(dt=0.001, output_path=str(tmp_path / "x")))
+    text = doc(dt=0.001, output_path=str(tmp_path / "x"))
     blobs = []
     for _ in range(2):
-        paths = run(config)
+        paths = run(parse_config(text), text.encode())
         with open(paths["csv"], "rb") as fh:
             csv = fh.read()
         with open(paths["summary"], "rb") as fh:
@@ -183,24 +216,22 @@ def test_run_is_byte_deterministic(tmp_path):
 
 
 def test_run_requires_output_path():
-    config = parse_config(doc())
-    config = RunConfig(**{**config.__dict__, "output_path": None})
+    text = doc()
+    config = RunConfig(**{**parse_config(text).__dict__, "output_path": None})
     with pytest.raises(ConfigError, match="output_path"):
-        run(config)
+        run(config, text.encode())
 
 
 def test_run_simulate_full_header(tmp_path):
-    config = parse_config(
-        doc(experiment="simulate-full", dt=0.001, output_path=str(tmp_path))
-    )
-    paths = run(config)
+    text = doc(experiment="simulate-full", dt=0.001, output_path=str(tmp_path))
+    paths = run(parse_config(text), text.encode())
     with open(paths["csv"]) as fh:
         assert fh.readline().strip() == "t,y,pop_e,pop_g1,pop_g2"
 
 
 def test_run_reduce_layout(tmp_path):
-    config = parse_config(doc(experiment="reduce", output_path=str(tmp_path)))
-    paths = run(config)
+    text = doc(experiment="reduce", output_path=str(tmp_path))
+    paths = run(parse_config(text), text.encode())
     with open(paths["csv"]) as fh:
         assert fh.readline().strip() == "k,rate_slow,gamma_slow,bright_re,bright_im"
     with open(paths["summary"]) as fh:
@@ -211,10 +242,10 @@ def test_run_reduce_layout(tmp_path):
 
 
 def test_run_dark_state_check_reports_exact_zero(tmp_path):
-    with open(os.path.join(CONFIG_DIR, "dark_state.json")) as fh:
-        config = parse_config(fh.read())
-    config = RunConfig(**{**config.__dict__, "output_path": str(tmp_path)})
-    paths = run(config)
+    with open(os.path.join(CONFIG_DIR, "dark_state.json"), "rb") as fh:
+        raw = fh.read()
+    config = RunConfig(**{**parse_config(raw.decode()).__dict__, "output_path": str(tmp_path)})
+    paths = run(config, raw)
     with open(paths["summary"]) as fh:
         summary = fh.read()
     assert "generator_norm<=1e-13: PASS" in summary
@@ -223,9 +254,9 @@ def test_run_dark_state_check_reports_exact_zero(tmp_path):
 
 
 def test_compare_rejects_excited_start():
-    config = parse_config(doc(initial_state="excited", output_path="unused"))
+    text = doc(initial_state="excited", output_path="unused")
     with pytest.raises(ConfigError, match="ground"):
-        run(config)
+        run(parse_config(text), text.encode())
 
 
 def test_main_exit_codes(tmp_path):
@@ -365,4 +396,19 @@ def test_main_refuses_run_over_step_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: run needs")
     assert "dt_max=" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("experiment", ["simulate-full", "simulate-slow", "compare", "reduce", "dark-state-check"])
+@pytest.mark.parametrize("value", [1e200, -1e300])
+@pytest.mark.parametrize("key", ["rabi_re", "rabi_im"])
+def test_main_refuses_rabi_amplitudes_whose_power_overflows(tmp_path, capsys, key, value, experiment):
+    # sum |Omega_k|^2 overflows; the bright state and slow timescale would be undefined
+    document = json.loads(_four_level_doc())
+    document["model"][key] = [value] * 4
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(document))
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model.rabi amplitudes too large")
     assert len(err.strip().splitlines()) == 1

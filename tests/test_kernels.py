@@ -182,7 +182,7 @@ def driven_models(draw):
         ),
         frequencies=tuple(draw(st.lists(st.floats(-100.0, 100.0, **finite), min_size=n_tones, max_size=n_tones))),
     )
-    m = LindbladModel(static.hamiltonian, static.jumps, static.output_weights, drive=drive)
+    m = LindbladModel(static.hamiltonian, static.jumps, drive=drive)
     return m, random_density(dim, rng)
 
 

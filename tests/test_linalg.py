@@ -4,7 +4,6 @@ import pytest
 from cptsim.linalg import (
     commutator,
     dissipator,
-    frobenius_distance,
     frobenius_norm,
     hermiticity_error,
     hermitian_part,
@@ -73,9 +72,6 @@ def test_validate_density_rejects_negative_eigenvalue():
 def test_frobenius_norms():
     a = np.array([[3.0, 0.0], [0.0, 4.0]], dtype=np.complex128)
     assert frobenius_norm(a) == 5.0
-    assert frobenius_distance(a, a) == 0.0
-    b = np.zeros_like(a)
-    assert frobenius_distance(a, b) == 5.0
 
 
 def test_spectral_norm_hermitian():

@@ -75,16 +75,15 @@ def test_lindblad_model_rejects_non_hermitian_hamiltonian():
     h = np.zeros((2, 2), dtype=np.complex128)
     h[0, 1] = 1.0
     with pytest.raises(ValueError):
-        LindbladModel(hamiltonian=h, jumps=(), output_weights=())
+        LindbladModel(hamiltonian=h, jumps=())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["hamiltonian", "jumps", "output_weights", "rate"])
+@pytest.mark.parametrize("where", ["hamiltonian", "jumps", "rate"])
 def test_lindblad_model_rejects_non_finite_entries(where, bad):
     m = build_two_scale(FOUR_LEVEL)
     h = m.hamiltonian.copy()
     jumps = list(m.jumps)
-    weights = list(m.output_weights)
     if where == "hamiltonian":
         # a NaN fails no Hermiticity test (NaN > tol is False)
         h[1, 1] = bad
@@ -93,13 +92,12 @@ def test_lindblad_model_rejects_non_finite_entries(where, bad):
         jumps[2] = (bad, jumps[2][1])
         match = r"jumps\[2\] contains non-finite"
     else:
-        pairs = jumps if where == "jumps" else weights
-        q = pairs[2][1].copy()
+        q = jumps[2][1].copy()
         q[0, 3] = bad
-        pairs[2] = (pairs[2][0], q)
-        match = rf"{where}\[2\] contains non-finite"
+        jumps[2] = (jumps[2][0], q)
+        match = r"jumps\[2\] contains non-finite"
     with pytest.raises(ValueError, match=match):
-        LindbladModel(hamiltonian=h, jumps=tuple(jumps), output_weights=tuple(weights))
+        LindbladModel(hamiltonian=h, jumps=tuple(jumps))
 
 
 def test_generator_preserves_trace_and_hermiticity():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cptsim.linalg import frobenius_distance
 from cptsim.models import (
     DriveSpec,
     LambdaParams,
@@ -87,7 +86,7 @@ def test_step_halving_agreement():
     b = integrate(m, rho0, t_end=1.0, dt=1e-3, sample_every=1000)
     # samples land on the same times; fourth-order scheme, halving is ~16x
     np.testing.assert_allclose(a.times, b.times, atol=1e-12)
-    assert frobenius_distance(a.states[-1], b.states[-1]) < 1e-9
+    assert np.linalg.norm(a.states[-1] - b.states[-1]) < 1e-9
 
 
 def test_global_energy_shift_is_invariant():
@@ -96,25 +95,21 @@ def test_global_energy_shift_is_invariant():
     shifted = LindbladModel(
         hamiltonian=m.hamiltonian + 2.7 * np.eye(3),
         jumps=m.jumps,
-        output_weights=m.output_weights,
     )
     rho0 = embedded_uniform(2)
     a = integrate(m, rho0, t_end=1.0, dt=1e-3, sample_every=200)
     b = integrate(shifted, rho0, t_end=1.0, dt=1e-3, sample_every=200)
-    assert max(
-        frobenius_distance(x, y) for x, y in zip(a.states, b.states)
-    ) < 1e-12
+    assert max(np.linalg.norm(x - y) for x, y in zip(a.states, b.states)) < 1e-12
 
 
 def test_driven_with_zero_amplitude_matches_static():
     h0 = np.diag([5.0, 1.0, 2.0]).astype(np.complex128)
     h0[0, 1] = h0[1, 0] = 0.5
     jumps = build_two_scale(TWO_LEVEL).jumps
-    static = LindbladModel(hamiltonian=h0, jumps=jumps, output_weights=jumps)
+    static = LindbladModel(hamiltonian=h0, jumps=jumps)
     driven = LindbladModel(
         hamiltonian=h0,
         jumps=jumps,
-        output_weights=jumps,
         drive=DriveSpec(h1=np.eye(3), amplitudes=(0.0,), frequencies=(50.0,)),
     )
     rho0 = embedded_uniform(2)
@@ -128,7 +123,7 @@ def test_driven_with_zero_amplitude_matches_static():
 def test_invariant_breach_names_the_step():
     # negative rates run the decay backwards and break positivity
     m = build_two_scale(TWO_LEVEL)
-    anti = LindbladModel(m.hamiltonian, tuple((-r, q) for r, q in m.jumps), m.output_weights)
+    anti = LindbladModel(m.hamiltonian, tuple((-r, q) for r, q in m.jumps))
     with pytest.raises(IntegrationError, match=r"at step 40, t=0\.04 "):
         integrate(anti, embedded_uniform(2), t_end=1.0, dt=1e-3, sample_every=10)
 
@@ -151,12 +146,23 @@ def test_integrate_refuses_runs_over_budget():
             epsilon_sweep(TWO_LEVEL, (1.0, 2.0, 4.0, 8.0), t_end_slow=t_end_slow)
 
 
+def two_level_pair():
+    m_full = build_two_scale(TWO_LEVEL)
+    return m_full, as_lindblad(reduce_model(m_full))
+
+
 def test_compare_full_vs_slow_grids_align():
-    result = compare_full_vs_slow(TWO_LEVEL, uniform_ground(2), t_end=2.0, dt=1e-3)
+    result = compare_full_vs_slow(*two_level_pair(), uniform_ground(2), t_end=2.0, dt=1e-3)
     np.testing.assert_allclose(result.full.times, result.slow.times, atol=1e-12)
     assert result.distances[0] == 0.0
     assert np.all(result.distances >= 0.0)
     assert result.distances.max() < 0.5
+
+
+def test_compare_full_vs_slow_rejects_mis_sized_start():
+    # three ground states against a two-ground-state pair: both sizes are named
+    with pytest.raises(ValueError, match="rho0 is 3-dim, model is 2-dim"):
+        compare_full_vs_slow(*two_level_pair(), uniform_ground(3), t_end=1.0, dt=1e-3)
 
 
 def test_epsilon_sweep_errors_shrink():

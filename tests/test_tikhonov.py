@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cptsim.cli import _scalar_family
 from cptsim.linalg import random_hermitian
 from cptsim.tikhonov import (
     TikhonovSystem,
@@ -83,6 +84,34 @@ def test_integrate_full_tracks_slow_solution():
     xs, ys = integrate_full(s, x0, y0, t_end=1.0)
     k = (-1.0 + np.sqrt(1.0 + 4.0 * eps**2)) / (2.0 * eps)
     assert xs[0] == pytest.approx(np.exp(k * 1.0), abs=1e-6)
+
+
+def _long_double_rk4(s, z0, t_end):
+    """RK4 on dz/dt = M z in long double, one step at a time on integrate_full's grid."""
+    n = s.dim_slow
+    n_steps = int(np.ceil(t_end / min(s.epsilon / 20.0, t_end / 50.0)))
+    m = s.c.astype(np.longdouble)
+    m[n:, n:] -= s.a.astype(np.longdouble) / np.longdouble(s.epsilon)
+    a = np.longdouble(t_end) / n_steps * m
+    # one classical RK4 step of a linear system: z -> (I + A + A^2/2 + A^3/6 + A^4/24) z
+    eye = np.eye(len(m), dtype=np.longdouble)
+    step = eye + a @ (eye + a @ (eye / 2 + a @ (eye / 6 + a / 24)))
+    z = np.asarray(z0, dtype=np.longdouble)
+    for _ in range(n_steps):
+        z = step @ z
+    return z
+
+
+def test_integrate_full_matches_long_double_step_loop():
+    # the verify-appendix family and epsilon grid, up to 20,000 steps; powering
+    # the step matrix must keep the result within 1e-13 of stepping it
+    for eps in np.geomspace(1e-3, 1e-1, 7):
+        s = _scalar_family(float(eps))
+        xs, ys = integrate_full(s, np.array([1.0]), np.array([0.0]), t_end=1.0)
+        ref = _long_double_rk4(s, [1.0, 0.0], 1.0)
+        got = np.concatenate([xs, ys]).astype(np.longdouble)
+        rel = float(np.linalg.norm((got - ref).astype(np.float64)) / np.linalg.norm(ref.astype(np.float64)))
+        assert rel <= 1e-13, (eps, rel)
 
 
 def test_fit_loglog_slope_exact_power_law():
