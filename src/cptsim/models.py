@@ -158,7 +158,8 @@ class DriveSpec:
     amplitudes: tuple[complex, ...]
     frequencies: tuple[float, ...]
 
-    def u(self, t: float) -> float:
+    def u(self, t):
+        """u at time t; an array of times gives the array of values."""
         val = 0.0
         for uk, nk in zip(self.amplitudes, self.frequencies):
             val += 2.0 * (uk.real * np.cos(nk * t) - uk.imag * np.sin(nk * t))

@@ -197,13 +197,14 @@ def integrate(m: LindbladModel, rho0: np.ndarray, t_end: float, dt: float,
 
     A static model jumps from sample to sample with a cached power of the
     RK4 step matrix; a driven model adds u(t) [H1, .] to the static
-    generator at each RK4 stage and is stepped one step at a time.  dt is
-    trimmed so an integer number of steps lands exactly on t_end.  Every
-    update (per sample when static, per step when driven) is followed by
-    Hermitian projection; the trace is renormalized when it drifts beyond
-    1e-12 (counted in meta; meta["n_steps"] counts RK4 steps).  Runs
-    beyond MAX_STEPS steps or MAX_SAMPLE_BYTES of samples raise
-    BudgetError before anything is allocated.
+    generator at each RK4 stage, with u evaluated on arrays of stage
+    times a chunk of steps at a time, and takes every step.  dt is
+    trimmed so an integer number of steps lands exactly on t_end.  For
+    both model classes each sample is followed by Hermitian projection,
+    and the trace is renormalized when it drifts beyond 1e-12 (counted in
+    meta; meta["n_steps"] counts RK4 steps).  Runs beyond MAX_STEPS
+    steps or MAX_SAMPLE_BYTES of samples raise BudgetError before
+    anything is allocated.
     """
     rho0, n_steps = _check_run_args(m, rho0, t_end, dt, sample_every)
     dt_eff = t_end / n_steps

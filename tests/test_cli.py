@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cptsim.cli import (
     ConfigError,
@@ -412,3 +415,59 @@ def test_main_refuses_rabi_amplitudes_whose_power_overflows(tmp_path, capsys, ke
     err = capsys.readouterr().err
     assert err.startswith("error: model.rabi amplitudes too large")
     assert len(err.strip().splitlines()) == 1
+
+
+_magnitudes = st.floats(1e-300, 1e-100) | st.floats(1e100, 1e308)
+EXTREMES = st.builds(lambda x, sign: sign * x, _magnitudes, st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def extreme_runs(draw):
+    """An experiment and its config, with extreme finite values in some model fields and run values.
+
+    The step count stays at 100, or at 1 for an extreme t_end, unless the
+    run is refused: an extreme t_end and an extreme dt are never drawn
+    together, since their ratio could ask for up to 1e8 steps.
+    """
+    three_scale = draw(st.booleans())
+    model = json.loads(json.dumps(THREE_SCALE_MODEL if three_scale else LAMBDA_DOC["model"]))
+    for key in draw(st.sets(st.sampled_from(sorted(set(model) - {"type"})), max_size=3)):
+        if key == "lambda_e":
+            model[key] = draw(EXTREMES)
+        else:
+            model[key] = [draw(st.just(x) | EXTREMES) for x in model[key]]
+    dt = 1e-4
+    t_end = draw(st.just(None) | EXTREMES)
+    if t_end is None:
+        dt = draw(st.just(dt) | EXTREMES)
+        t_end = 100 * dt
+    if three_scale:
+        experiment = draw(st.sampled_from(["simulate-full", "rwa-check"]))
+    else:
+        experiment = draw(
+            st.sampled_from(["simulate-full", "simulate-slow", "compare", "reduce", "dark-state-check"])
+        )
+    document = {"model": model, "t_end": t_end, "dt": dt, "sample_every": 10, "experiment": experiment}
+    return experiment, document
+
+
+def _extreme_drive(experiment, u, dt):
+    model = {**THREE_SCALE_MODEL, "u_re": [u, u]}
+    document = {"model": model, "t_end": 100 * dt, "dt": dt, "sample_every": 10, "experiment": experiment}
+    return experiment, document
+
+
+@pytest.mark.filterwarnings("ignore:time-scale separation weak:RuntimeWarning")
+@settings(deadline=None, max_examples=150)
+@given(extreme_runs())
+# drives that clear the Rabi power check, at steps that clear dt_max: the chunked driven kernel
+@example(_extreme_drive("simulate-full", 1e150, 1e-300))
+@example(_extreme_drive("rwa-check", -1e120, 1e-200))
+def test_main_exits_cleanly_on_extreme_finite_values(run):
+    experiment, document = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(document, fh)
+        code = main([experiment, "--config", cfg, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 2, 3)

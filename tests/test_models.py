@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cptsim.linalg import hermiticity_error, random_density
 from cptsim.models import (
@@ -139,6 +141,31 @@ def test_drive_signal_is_real():
         assert isinstance(drive.u(t), float)
     assert drive.u(0.0) == pytest.approx(0.6)
     np.testing.assert_allclose(drive(0.0), 0.6 * h1)
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.complex_numbers(max_magnitude=1.0, **finite), st.floats(-1e3, 1e3, **finite)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(st.floats(0.0, 1e4, **finite), min_size=1, max_size=40),
+)
+def test_drive_on_an_array_matches_scalar_calls(tones, times):
+    # the kernel evaluates u on arrays of stage times; the scalar form is the waveform as written
+    drive = DriveSpec(
+        h1=np.eye(2),
+        amplitudes=tuple(a for a, _ in tones),
+        frequencies=tuple(f for _, f in tones),
+    )
+    got = drive.u(np.asarray(times, dtype=np.float64))
+    want = np.array([drive.u(t) for t in times], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 THREE_SCALE = ThreeScaleParams(
