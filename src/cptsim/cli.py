@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .linalg import random_density, validate_density
+from .linalg import herm_to_vec, random_density, validate_density, vec_to_herm
 from .models import (
     LambdaParams,
     LindbladModel,
@@ -60,8 +60,6 @@ from .tikhonov import (
     expansion_residuals,
     fit_loglog_slope,
     manifold_first_order,
-    vec_to_herm,
-    herm_to_vec,
 )
 from .kernels import backend_name
 

@@ -1,13 +1,14 @@
-"""One fixed-step RK4 scheme over vectorized master equations.
+"""One fixed-step RK4 scheme over master equations in real coordinates.
 
-States are row-major vec(rho) of length d^2; generators are d^2 x d^2
-complex matrices.  A static model steps dv/dt = L0 v by jumping from one
-sample to the next with a cached power of the RK4 step matrix.  A drive
-adds u(t) L1: its stage generators L0 + u L1 are built a chunk of steps
-at a time from one vectorized u call on the chunk's stage times, and
-each step is four matrix-vector products.  For both model classes
-Hermitian projection and trace renormalization follow every sample, so
-long runs stay on the density-matrix manifold.
+States are the real herm_to_vec vectors of linalg (length d^2, diagonal
+first), so every state is Hermitian by construction; generators are
+real d^2 x d^2 matrices (linalg.real_superop).  A static model steps
+dv/dt = L0 v by jumping from one sample to the next with a cached power
+of the RK4 step matrix.  A drive adds u(t) L1: its stage generators
+L0 + u L1 are built a chunk of steps at a time from one vectorized u
+call on the chunk's stage times, and each step is four matrix-vector
+products.  For both model classes trace control follows every sample,
+so long runs keep trace 1.
 """
 
 from __future__ import annotations
@@ -19,23 +20,14 @@ import numpy as np
 
 # Cap on the three stacks of stage generators a driven run builds at once.
 # Small, so a run's memory does not grow with its length and stays out of
-# peak RSS: at dim 2 a chunk is 341 steps, at dim 5 it is 8.
+# peak RSS: the stacks are real, so at dim 2 a chunk is 682 steps, at
+# dim 5 it is 17.
 STAGE_CHUNK_BYTES = 256 * 1024
 
 
 def backend_name() -> str:
     """Kernel implementation, recorded in Trajectory.meta and summary.txt."""
     return "numpy"
-
-
-def transpose_indices(dim: int) -> np.ndarray:
-    """Index map sending vec(rho) to vec(rho^T)."""
-    return np.arange(dim * dim, dtype=np.int64).reshape(dim, dim).T.ravel()
-
-
-def diag_indices_vec(dim: int) -> np.ndarray:
-    """Positions of the matrix diagonal inside vec(rho)."""
-    return np.arange(dim, dtype=np.int64) * (dim + 1)
 
 
 def sample_indices(n_steps: int, sample_every: int) -> np.ndarray:
@@ -75,7 +67,7 @@ def _stage_generators(l0, l1, u, dt, n_steps):
     the three stacks of a chunk stay within STAGE_CHUNK_BYTES.
     """
     offsets = np.array([[0.0], [dt / 2.0], [dt]])
-    chunk = max(1, STAGE_CHUNK_BYTES // (3 * 16 * l0.size))
+    chunk = max(1, STAGE_CHUNK_BYTES // (3 * l0.nbytes))
     for first in range(0, n_steps, chunk):
         t = np.arange(first, min(first + chunk, n_steps)) * dt
         stacks = [l0 + w[:, None, None] * l1 for w in u(t + offsets)]
@@ -83,40 +75,33 @@ def _stage_generators(l0, l1, u, dt, n_steps):
 
 
 def rk4_superop(l0, v0, dt, n_steps, sample_idx, renorm_tol, l1=None, u=None):
-    """RK4 on dv/dt = (L0 + u(t) L1) v with Hermitian projection and trace control.
+    """RK4 on dv/dt = (L0 + u(t) L1) v with trace control, in herm_to_vec coordinates.
 
-    Without l1 the generator is the static L0, and v jumps from one sample
-    to the next as v + Q_k v (see rk4_increment).  With l1, u is the drive
-    (a callable mapping an array of times to an array of values); each
-    step applies the generators at its stage times t, t + dt/2 and t + dt,
-    built a chunk of steps at a time.  Either way Hermitian projection and
-    trace control run once per sample.  Returns (samples, n_renorm,
-    max_drift): recorded states at the requested step indices, the
-    renormalization count, and the largest |trace - 1| seen before any
-    renormalization (NaN once the state is no longer finite).
+    v0 and the generators are real (see linalg.real_superop).  Without l1
+    the generator is the static L0, and v jumps from one sample to the
+    next as v + Q_k v (see rk4_increment).  With l1, u is the drive (a
+    callable mapping an array of times to an array of values); each step
+    applies the generators at its stage times t, t + dt/2 and t + dt,
+    built a chunk of steps at a time.  Either way trace control runs once
+    per sample.  sample_idx runs from 0 to n_steps (see sample_indices).
+    Returns (samples, n_renorm, max_drift): the real states at those
+    steps, the renormalization count, and the largest |trace - 1| seen
+    before any renormalization (NaN once the state is no longer finite).
     """
     if (l1 is None) != (u is None):
         raise ValueError("l1 and u must be given together")
-    d2 = v0.shape[0]
-    dim = math.isqrt(d2)
-    transposed = transpose_indices(dim)
-    diagonal = diag_indices_vec(dim)
-    n_out = sample_idx.shape[0]
-    out = np.empty((n_out, d2), dtype=np.complex128)
-    v = v0.astype(np.complex128).copy()
-    ptr = 0
-    if sample_idx[0] == 0:
-        out[0] = v
-        ptr = 1
+    if sample_idx[0] != 0 or sample_idx[-1] != n_steps:
+        raise ValueError("sample_idx must run from step 0 to n_steps, as sample_indices gives")
+    dim = math.isqrt(v0.shape[0])
+    v = np.array(v0, dtype=np.float64)
+    out = np.empty((sample_idx.shape[0], v.shape[0]))
+    out[0] = v
     n_renorm = 0
     max_drift = 0.0
 
     def settle(v):
         nonlocal n_renorm, max_drift
-        v = 0.5 * (v + np.conj(v[transposed]))
-        tr = 0.0
-        for i in diagonal:
-            tr += v[i].real
+        tr = v[:dim].sum()
         drift = abs(tr - 1.0)
         if not drift <= max_drift:
             max_drift = drift
@@ -146,14 +131,6 @@ def rk4_superop(l0, v0, dt, n_steps, sample_idx, renorm_tol, l1=None, u=None):
                 v = v + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             return v
 
-    prev = 0
-    stops = sample_idx[sample_idx > 0].tolist()
-    if not stops or stops[-1] < n_steps:
-        stops.append(n_steps)
-    for stop in stops:
-        v = settle(advance(v, stop - prev))
-        prev = stop
-        if ptr < n_out and sample_idx[ptr] == stop:
-            out[ptr] = v
-            ptr += 1
+    for i, k in enumerate(np.diff(sample_idx).tolist(), start=1):
+        v = out[i] = settle(advance(v, k))
     return out, n_renorm, max_drift

@@ -3,10 +3,16 @@
 Basis convention used throughout the package: index 0 is the excited
 state |e>, indices 1..N are the ground states |g_1>..|g_N>.  This makes
 the excited projector P = diag(1, 0, ..., 0).
+
+Also owns the one vector form of a state: herm_to_vec encodes a
+Hermitian d x d matrix as d^2 reals, and real_superop gives the real
+d^2 x d^2 matrix that a Hermiticity-preserving superoperator is in those
+coordinates.  The integrator and the Tikhonov kit both work there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,13 +107,54 @@ def validate_density(
     return DensityReport(herm, float(trace), min_eig, ok)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitian_part(x)
-
-
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank density matrix (normalized Wishart)."""
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = x @ x.conj().T
     return rho / np.trace(rho).real
+
+
+def herm_to_vec(mat: np.ndarray) -> np.ndarray:
+    """Encode a Hermitian d x d matrix as a real vector of length d^2.
+
+    Layout: diagonal (d entries), then real parts of the strict upper
+    triangle row-major, then the matching imaginary parts.  The trace is
+    the sum of the first d entries.
+    """
+    mat = as_complex(mat)
+    err = hermiticity_error(mat)
+    if err > 1e-9:
+        raise ValueError(f"matrix not Hermitian (deviation {err:.3e})")
+    upper = mat[np.triu_indices(mat.shape[0], k=1)]
+    return np.concatenate([mat.diagonal().real, upper.real, upper.imag])
+
+
+def vec_to_herm(vec: np.ndarray, dim: int) -> np.ndarray:
+    """Invert herm_to_vec; a (n, d^2) stack gives the (n, d, d) stack of matrices."""
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.ndim not in (1, 2) or vec.shape[-1] != dim * dim:
+        raise ValueError(f"expected vectors of length {dim * dim}, got shape {vec.shape}")
+    n_off = dim * (dim - 1) // 2
+    rows, cols = np.triu_indices(dim, k=1)
+    diag = np.arange(dim)
+    out = np.zeros(vec.shape[:-1] + (dim, dim), dtype=np.complex128)
+    re, im = out.real, out.imag
+    re[..., diag, diag] = vec[..., :dim]
+    re[..., rows, cols] = re[..., cols, rows] = vec[..., dim : dim + n_off]
+    im[..., rows, cols] = vec[..., dim + n_off :]
+    im[..., cols, rows] = -vec[..., dim + n_off :]
+    return out
+
+
+def real_superop(lmat: np.ndarray) -> np.ndarray:
+    """Matrix of a Hermiticity-preserving superoperator in herm_to_vec coordinates.
+
+    lmat acts on row-major vec(rho).  With S the decoding matrix (the
+    columns are vec(vec_to_herm(e_k))), the result is (S^-1 lmat S).real.
+    The columns of S are orthogonal, so S^-1 = S^dag / diag(S^dag S)
+    exactly.
+    """
+    d2 = lmat.shape[0]
+    s = vec_to_herm(np.eye(d2), math.isqrt(d2)).reshape(d2, d2).T
+    s_inv = s.conj().T / (np.abs(s) ** 2).sum(axis=0)[:, None]
+    return (s_inv @ lmat @ s).real

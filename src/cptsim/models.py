@@ -37,6 +37,17 @@ def _as_complex_tuple(xs, name: str) -> tuple[complex, ...]:
     return out
 
 
+def _power(amplitudes, name: str) -> float:
+    """Sum of |a_k|^2 of the named amplitudes; ValueError when it is not finite."""
+    try:
+        power = float(sum(abs(a) ** 2 for a in amplitudes))
+    except OverflowError:  # a float ** 2 that overflows raises instead of giving inf
+        power = math.inf
+    if not math.isfinite(power):
+        raise ValueError(f"{name} amplitudes too large: sum of |{name}_k|^2 is not finite")
+    return power
+
+
 @dataclass(frozen=True)
 class LambdaParams:
     """Two-scale Lambda model parameters: detunings, Rabi amplitudes, decay rates."""
@@ -59,12 +70,7 @@ class LambdaParams:
         for k, g in enumerate(self.gamma):
             if g <= 0.0:
                 raise ValueError(f"gamma[{k}] must be positive, got {g}")
-        try:
-            power = self.rabi_power
-        except OverflowError:  # a float ** 2 that overflows raises instead of giving inf
-            power = math.inf
-        if not math.isfinite(power):
-            raise ValueError("rabi amplitudes too large: sum of |rabi_k|^2 is not finite")
+        _power(self.rabi, "rabi")
 
     @property
     def n_ground(self) -> int:
@@ -77,7 +83,7 @@ class LambdaParams:
     @property
     def rabi_power(self) -> float:
         """Sum of |Omega_k|^2."""
-        return float(sum(abs(om) ** 2 for om in self.rabi))
+        return _power(self.rabi, "rabi")
 
 
 def slow_timescale(p: LambdaParams) -> float:
@@ -119,6 +125,8 @@ class ThreeScaleParams:
         for k, g in enumerate(self.gamma):
             if g <= 0.0:
                 raise ValueError(f"gamma[{k}] must be positive, got {g}")
+        # mu_k u_k are the rotating-wave Rabi amplitudes
+        _power((m * u for m, u in zip(self.mu, self.u_amp)), "drive")
 
     @property
     def n_ground(self) -> int:
@@ -316,7 +324,9 @@ def liouvillian(m: LindbladModel) -> np.ndarray:
     """Matrix of the full static generator on row-major vec(rho).
 
     The drive term, if any, is excluded; the RK4 kernel adds
-    drive.u(t) times commutator_superop(drive.h1) at each stage.
+    drive.u(t) times commutator_superop(drive.h1) at each stage.  The
+    integrator steps both in herm_to_vec coordinates, through
+    linalg.real_superop.
     """
     dim = m.dim
     eye = np.eye(dim)

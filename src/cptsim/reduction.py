@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_square
+from .linalg import _check_square, herm_to_vec, vec_to_herm
 from .models import LindbladModel
-from .tikhonov import TikhonovSystem, herm_to_vec, vec_to_herm
+from .tikhonov import TikhonovSystem
 
 
 def _gamma_array(gammas) -> np.ndarray:
@@ -289,21 +289,18 @@ def standard_form(m: LindbladModel) -> TikhonovSystem:
     dim = m.dim
     nvec = dim * dim
 
-    def fast_map(y: np.ndarray) -> np.ndarray:
-        x_mat = vec_to_herm(y, dim)
-        out = 0.5 * x_mat
-        out[0, 0] += 0.5 * x_mat[0, 0]
-        return herm_to_vec(out)
-
     def coupling(z: np.ndarray) -> np.ndarray:
         split = SlowFastSplit(rho_f=vec_to_herm(z[nvec:], dim), rho_s=vec_to_herm(z[:nvec], dim))
         hh = h @ merge(split, rates)
         parts = split_slow_fast(-1j * (hh - hh.conj().T), rates)
         return np.concatenate([herm_to_vec(parts.rho_s), herm_to_vec(parts.rho_f)])
 
-    # each linear map applied to the basis vectors gives its matrix, column by column
+    # X -> (X + P X P)/2 keeps X[0, 0], the first herm_to_vec entry, and halves the rest
+    a = 0.5 * np.eye(nvec)
+    a[0, 0] = 1.0
+    # the coupling applied to the basis vectors gives its matrix, column by column
     return TikhonovSystem(
-        a=np.column_stack([fast_map(e) for e in np.eye(nvec)]),
+        a=a,
         c=np.column_stack([coupling(e) for e in np.eye(2 * nvec)]),
         epsilon=1.0 / total,
     )

@@ -17,8 +17,11 @@ import numpy as np
 from .linalg import (
     as_complex,
     frobenius_norm,
+    herm_to_vec,
+    real_superop,
     spectral_norm_hermitian,
     validate_density,
+    vec_to_herm,
     _check_square,
 )
 from .models import (
@@ -145,11 +148,12 @@ def _check_run_args(m: LindbladModel, rho0: np.ndarray, t_end: float, dt: float,
         raise ValueError(f"dt={dt:.3e} exceeds the stability policy dt_max={limit:.3e}")
     n_steps = _step_count(m, t_end, dt)
     n_samples = -(-n_steps // sample_every) + 1
-    sample_bytes = n_samples * m.dim**2 * 16
+    # each entry is 8 bytes as a real sample plus 16 as a decoded state
+    sample_bytes = n_samples * m.dim**2 * (8 + 16)
     if sample_bytes > MAX_SAMPLE_BYTES:
         raise BudgetError(
-            f"run records {n_samples} samples of dim {m.dim} ({sample_bytes / 2**30:.3g} GiB), "
-            f"above the budget of {MAX_SAMPLE_BYTES / 2**30:.0f} GiB; raise sample_every"
+            f"run records {n_samples} samples of dim {m.dim} ({sample_bytes / 2**30:.3g} GiB with their "
+            f"decoded states), above the budget of {MAX_SAMPLE_BYTES / 2**30:.0f} GiB; raise sample_every"
         )
     return rho0, n_steps
 
@@ -157,7 +161,7 @@ def _check_run_args(m: LindbladModel, rho0: np.ndarray, t_end: float, dt: float,
 def _finalize(m: LindbladModel, samples: np.ndarray, sample_idx: np.ndarray, dt: float,
               n_steps: int, sample_every: int, n_renorm: int, max_drift: float) -> Trajectory:
     dim = m.dim
-    states = samples.reshape(-1, dim, dim)
+    states = vec_to_herm(samples, dim)
     times = sample_idx.astype(np.float64) * dt
     max_herm = 0.0
     min_eig = math.inf
@@ -195,25 +199,28 @@ def integrate(m: LindbladModel, rho0: np.ndarray, t_end: float, dt: float,
               sample_every: int = 10) -> Trajectory:
     """Evolve a model with fixed-step RK4.
 
-    A static model jumps from sample to sample with a cached power of the
-    RK4 step matrix; a driven model adds u(t) [H1, .] to the static
-    generator at each RK4 stage, with u evaluated on arrays of stage
-    times a chunk of steps at a time, and takes every step.  dt is
-    trimmed so an integer number of steps lands exactly on t_end.  For
-    both model classes each sample is followed by Hermitian projection,
-    and the trace is renormalized when it drifts beyond 1e-12 (counted in
-    meta; meta["n_steps"] counts RK4 steps).  Runs beyond MAX_STEPS
-    steps or MAX_SAMPLE_BYTES of samples raise BudgetError before
-    anything is allocated.
+    The state is the real vector herm_to_vec(rho), stepped against real
+    generators built once per run (linalg.real_superop), so every sample
+    is Hermitian by construction.  A static model jumps from sample to
+    sample with a cached power of the RK4 step matrix; a driven model
+    adds u(t) [H1, .] to the static generator at each RK4 stage, with u
+    evaluated on arrays of stage times a chunk of steps at a time, and
+    takes every step.  dt is trimmed so an integer number of steps lands
+    exactly on t_end.  The trace is renormalized after a sample when it
+    drifts beyond 1e-12 (counted in meta; meta["n_steps"] counts RK4
+    steps), and the decoded samples are validated one by one.  Runs
+    beyond MAX_STEPS steps or MAX_SAMPLE_BYTES of samples (with their
+    decoded states) raise BudgetError before anything is allocated.
     """
     rho0, n_steps = _check_run_args(m, rho0, t_end, dt, sample_every)
     dt_eff = t_end / n_steps
     l1 = u = None
     if m.drive is not None:
-        l1, u = commutator_superop(m.drive.h1), m.drive.u
+        l1, u = real_superop(commutator_superop(m.drive.h1)), m.drive.u
     sample_idx = sample_indices(n_steps, sample_every)
     samples, n_renorm, max_drift = rk4_superop(
-        liouvillian(m), rho0.ravel(), dt_eff, n_steps, sample_idx, TRACE_DRIFT_TOL, l1=l1, u=u
+        real_superop(liouvillian(m)), herm_to_vec(rho0), dt_eff, n_steps, sample_idx,
+        TRACE_DRIFT_TOL, l1=l1, u=u,
     )
     return _finalize(m, samples, sample_idx, dt_eff, n_steps, sample_every, n_renorm, max_drift)
 
@@ -397,9 +404,3 @@ def convergence_order(m: LindbladModel, rho0: np.ndarray, t_end: float, dt0: flo
     if e1 <= 0.0 or e2 <= 0.0:
         raise ValueError("step-halving errors vanished; increase dt0 or t_end")
     return float(np.log2(e1 / e2))
-
-
-def conservation_report(traj: Trajectory) -> dict:
-    """Worst-case trace drift, hermiticity deviation and eigenvalue floor."""
-    keys = ("max_trace_drift", "max_hermiticity_error", "min_eigenvalue", "n_renorm")
-    return {key: traj.meta[key] for key in keys}

@@ -7,8 +7,8 @@ first- and second-order manifold expansions, direct RK4 integration of
 the full system, and the residuals and log-log fits that measure the
 order of the expansions.
 
-Also contains the real-vector encoding of Hermitian matrices used to
-put vectorized master equations into this form.
+Master equations enter this form in the real herm_to_vec coordinates
+that linalg owns (see reduction.standard_form).
 """
 
 from __future__ import annotations
@@ -19,37 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .kernels import rk4_increment
-from .linalg import as_complex, hermiticity_error
-
-
-def herm_to_vec(mat: np.ndarray) -> np.ndarray:
-    """Encode a Hermitian d x d matrix as a real vector of length d^2.
-
-    Layout: diagonal (d entries), then real parts of the strict upper
-    triangle row-major, then the matching imaginary parts.
-    """
-    mat = as_complex(mat)
-    err = hermiticity_error(mat)
-    if err > 1e-9:
-        raise ValueError(f"matrix not Hermitian (deviation {err:.3e})")
-    iu = np.triu_indices(mat.shape[0], k=1)
-    upper = mat[iu]
-    return np.concatenate([mat.diagonal().real, upper.real, upper.imag])
-
-
-def vec_to_herm(vec: np.ndarray, dim: int) -> np.ndarray:
-    """Invert herm_to_vec."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (dim * dim,):
-        raise ValueError(f"expected vector of length {dim * dim}, got shape {vec.shape}")
-    n_off = dim * (dim - 1) // 2
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    iu = np.triu_indices(dim, k=1)
-    upper = vec[dim : dim + n_off] + 1j * vec[dim + n_off :]
-    out[iu] = upper
-    out += out.conj().T
-    out[np.diag_indices(dim)] = vec[:dim]
-    return out
 
 
 @dataclass(frozen=True)

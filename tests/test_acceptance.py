@@ -9,7 +9,7 @@ and are asserted, not tuned, here.
 import numpy as np
 import pytest
 
-from cptsim.linalg import random_density
+from cptsim.linalg import herm_to_vec, random_density, vec_to_herm
 from cptsim.models import (
     LambdaParams,
     ThreeScaleParams,
@@ -29,7 +29,6 @@ from cptsim.reduction import (
 )
 from cptsim.sim import (
     compare_full_vs_slow,
-    conservation_report,
     convergence_order,
     epsilon_sweep,
     equilibrium_check,
@@ -40,9 +39,7 @@ from cptsim.tikhonov import (
     TikhonovSystem,
     expansion_residuals,
     fit_loglog_slope,
-    herm_to_vec,
     manifold_first_order,
-    vec_to_herm,
 )
 
 FOUR_LEVEL = LambdaParams(
@@ -182,14 +179,10 @@ def test_a4_reduction_closed_forms(acceptance):
 
 
 def test_a5_conservation_and_convergence(acceptance, four_level_compare, dark_full_run):
-    reports = {
-        "full": conservation_report(four_level_compare.full),
-        "slow": conservation_report(four_level_compare.slow),
-        "dark": conservation_report(dark_full_run),
-    }
-    worst_drift = max(r["max_trace_drift"] for r in reports.values())
-    worst_herm = max(r["max_hermiticity_error"] for r in reports.values())
-    worst_eig = min(r["min_eigenvalue"] for r in reports.values())
+    metas = [four_level_compare.full.meta, four_level_compare.slow.meta, dark_full_run.meta]
+    worst_drift = max(meta["max_trace_drift"] for meta in metas)
+    worst_herm = max(meta["max_hermiticity_error"] for meta in metas)
+    worst_eig = min(meta["min_eigenvalue"] for meta in metas)
 
     m = build_two_scale(FOUR_LEVEL)
     rho0 = embed_ground(np.eye(4, dtype=np.complex128) / 4)

@@ -402,18 +402,27 @@ def test_main_refuses_run_over_step_budget(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("experiment", ["simulate-full", "simulate-slow", "compare", "reduce", "dark-state-check"])
+@pytest.mark.parametrize(
+    "experiment", ["simulate-full", "simulate-slow", "compare", "reduce", "dark-state-check", "rwa-check"]
+)
 @pytest.mark.parametrize("value", [1e200, -1e300])
-@pytest.mark.parametrize("key", ["rabi_re", "rabi_im"])
+@pytest.mark.parametrize("key", ["rabi_re", "rabi_im", "u_re", "u_im"])
 def test_main_refuses_rabi_amplitudes_whose_power_overflows(tmp_path, capsys, key, value, experiment):
-    # sum |Omega_k|^2 overflows; the bright state and slow timescale would be undefined
-    document = json.loads(_four_level_doc())
-    document["model"][key] = [value] * 4
+    # sum |Omega_k|^2 overflows; the bright state and slow timescale would be undefined.
+    # A three-scale config's Rabi amplitudes are mu_k u_k.  Either is refused while
+    # the config is parsed, whatever the experiment.
+    if key.startswith("u_"):
+        document = {"model": dict(THREE_SCALE_MODEL), "t_end": 0.2}
+        message = "error: model.drive amplitudes too large"
+    else:
+        document = json.loads(_four_level_doc())
+        message = "error: model.rabi amplitudes too large"
+    document["model"][key] = [value] * len(document["model"][key])
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(document))
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: model.rabi amplitudes too large")
+    assert err.startswith(message)
     assert len(err.strip().splitlines()) == 1
 
 

@@ -1,18 +1,12 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cptsim.kernels import (
-    STAGE_CHUNK_BYTES,
-    diag_indices_vec,
-    rk4_increment,
-    rk4_superop,
-    sample_indices,
-    transpose_indices,
-)
-from cptsim.linalg import random_density
+from cptsim.kernels import STAGE_CHUNK_BYTES, rk4_increment, rk4_superop, sample_indices
+from cptsim.linalg import herm_to_vec, random_density, real_superop, vec_to_herm
 from cptsim.models import (
     DriveSpec,
     LambdaParams,
@@ -21,10 +15,21 @@ from cptsim.models import (
     build_three_scale,
     build_two_scale,
     commutator_superop,
+    generator_apply,
     liouvillian,
 )
 from cptsim.reduction import embed_ground
 from cptsim.sim import TRACE_DRIFT_TOL, dt_max, integrate
+
+
+def transpose_indices(dim: int) -> np.ndarray:
+    """Index map sending row-major vec(rho) to vec(rho^T), for the complex reference loops."""
+    return np.arange(dim * dim, dtype=np.int64).reshape(dim, dim).T.ravel()
+
+
+def diag_indices_vec(dim: int) -> np.ndarray:
+    """Positions of the matrix diagonal inside row-major vec(rho)."""
+    return np.arange(dim, dtype=np.int64) * (dim + 1)
 
 
 def test_transpose_indices():
@@ -51,12 +56,20 @@ def test_sample_indices_include_endpoints():
     np.testing.assert_array_equal(idx, [0, 5])
 
 
+def test_rk4_superop_requires_samples_from_start_to_end():
+    lmat = -np.eye(4)
+    v0 = herm_to_vec(np.eye(2) / 2)
+    for idx in ([1, 5, 10], [0, 5], [0, 5, 10, 12]):
+        with pytest.raises(ValueError, match="sample_idx"):
+            rk4_superop(lmat, v0, 0.01, 10, np.array(idx), 1e-12)
+
+
 def test_rk4_decay_kernel_matches_exponential():
     # plain contraction generator: v' = -a v with known solution
     d = 2
     a = 0.7
-    lmat = -a * np.eye(d * d, dtype=np.complex128)
-    v0 = (np.eye(d, dtype=np.complex128) / d).ravel()
+    lmat = -a * np.eye(d * d)
+    v0 = herm_to_vec(np.eye(d) / d)
     # disable renormalization so the raw scheme is visible
     samples, n_renorm, drift = rk4_superop(lmat, v0, 0.01, 100, sample_indices(100, 100), np.inf)
     expected = v0 * np.exp(-a * 1.0)
@@ -67,11 +80,11 @@ def test_rk4_decay_kernel_matches_exponential():
 def test_rk4_renormalization_counter():
     # trace-shrinking generator trips the drift guard every step
     d = 2
-    lmat = -0.5 * np.eye(d * d, dtype=np.complex128)
-    v0 = (np.eye(d, dtype=np.complex128) / d).ravel()
+    lmat = -0.5 * np.eye(d * d)
+    v0 = herm_to_vec(np.eye(d) / d)
     samples, n_renorm, drift = rk4_superop(lmat, v0, 0.01, 50, sample_indices(50, 10), 1e-12)
     assert n_renorm > 0
-    traces = samples[:, diag_indices_vec(d)].sum(axis=1).real
+    traces = samples[:, :d].sum(axis=1)
     np.testing.assert_allclose(traces, 1.0, atol=1e-12)
 
 
@@ -198,21 +211,38 @@ def test_driven_loop_matches_reference_loop(model_and_state, n_steps, sample_eve
     m, rho0 = model_and_state
     dim = m.dim
     dt = dt_frac * dt_max(m)
-    v0 = rho0.ravel()
+    rho0 = vec_to_herm(herm_to_vec(rho0), dim)
     idx = sample_indices(n_steps, sample_every)
     l0 = liouvillian(m)
     l1 = commutator_superop(m.drive.h1)
     amps = np.asarray(m.drive.amplitudes, dtype=np.complex128)
-    got = rk4_superop(l0, v0, dt, n_steps, idx, TRACE_DRIFT_TOL, l1=l1, u=m.drive.u)
+    got = rk4_superop(
+        real_superop(l0), herm_to_vec(rho0), dt, n_steps, idx, TRACE_DRIFT_TOL,
+        l1=real_superop(l1), u=m.drive.u,
+    )
     want = reference_driven(
         l0, l1, np.ascontiguousarray(amps.real), np.ascontiguousarray(amps.imag),
-        np.asarray(m.drive.frequencies, dtype=np.float64), v0, dt, n_steps, idx,
+        np.asarray(m.drive.frequencies, dtype=np.float64), rho0.ravel(), dt, n_steps, idx,
         transpose_indices(dim), diag_indices_vec(dim), TRACE_DRIFT_TOL,
     )
-    # chunks of 341 steps at dim 2 and 21 at dim 4, so runs cross chunk boundaries
-    np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
+    # chunks of 682 steps at dim 2 and 42 at dim 4, so runs cross chunk boundaries
+    np.testing.assert_allclose(vec_to_herm(got[0], dim), want[0].reshape(-1, dim, dim), rtol=0.0, atol=1e-12)
     assert got[1] == want[1]
     assert got[2] <= TRACE_DRIFT_TOL and want[2] <= TRACE_DRIFT_TOL
+
+
+@settings(deadline=None, max_examples=100)
+@given(driven_models())
+def test_real_generators_match_generator_apply(model_and_state):
+    # the kernel's generators: the Lindblad part and the drive term [H1, .] in real coordinates
+    m, rho = model_and_state
+    rho = vec_to_herm(herm_to_vec(rho), m.dim)
+    static = LindbladModel(m.hamiltonian, m.jumps)
+    drive = LindbladModel(m.drive.h1, ())
+    for model, lmat in ((static, liouvillian(static)), (drive, commutator_superop(m.drive.h1))):
+        got = vec_to_herm(real_superop(lmat) @ herm_to_vec(rho), m.dim)
+        want = generator_apply(model, rho)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @settings(deadline=None, max_examples=60)
@@ -222,14 +252,15 @@ def test_static_propagator_matches_reference_loop(p, seed, n_steps, sample_every
     m = build_two_scale(p)
     dim = m.dim
     dt = dt_frac * dt_max(m)
-    v0 = random_density(dim, np.random.default_rng(seed)).ravel()
+    v0 = herm_to_vec(random_density(dim, np.random.default_rng(seed)))
     idx = sample_indices(n_steps, sample_every)
     l0 = liouvillian(m)
-    got, _, _ = rk4_superop(l0, v0, dt, n_steps, idx, TRACE_DRIFT_TOL)
+    got, _, _ = rk4_superop(real_superop(l0), v0, dt, n_steps, idx, TRACE_DRIFT_TOL)
     want, _, _ = reference_static(
-        l0, v0, dt, n_steps, idx, transpose_indices(dim), diag_indices_vec(dim), TRACE_DRIFT_TOL
+        l0, vec_to_herm(v0, dim).ravel(), dt, n_steps, idx, transpose_indices(dim),
+        diag_indices_vec(dim), TRACE_DRIFT_TOL,
     )
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(vec_to_herm(got, dim), want.reshape(-1, dim, dim), rtol=0.0, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=40)
@@ -253,7 +284,7 @@ def test_rk4_increment_preserves_trace_and_hermiticity(p, dt_frac):
 
 
 def test_driven_run_memory_is_bounded_by_the_chunk():
-    # four ground states: dim 5, so a chunk holds 8 steps of stage generators
+    # four ground states: dim 5, so a chunk holds 17 steps of stage generators
     p3 = ThreeScaleParams(
         lambda_e=200.0,
         lambda_g=(0.0, 0.1, 0.2, 0.3),
@@ -282,8 +313,8 @@ def test_driven_run_memory_is_bounded_by_the_chunk():
 
 def test_non_finite_state_is_recorded_as_nan_drift():
     d = 2
-    lmat = np.full((d * d, d * d), np.nan, dtype=np.complex128)
-    v0 = (np.eye(d, dtype=np.complex128) / d).ravel()
+    lmat = np.full((d * d, d * d), np.nan)
+    v0 = herm_to_vec(np.eye(d) / d)
     idx = sample_indices(10, 5)
     static = rk4_superop(lmat, v0, 0.01, 10, idx, 1e-12)
     driven = rk4_superop(lmat, v0, 0.01, 10, idx, 1e-12, l1=np.zeros_like(lmat), u=lambda t: 0.0 * t)

@@ -5,13 +5,19 @@ from cptsim.linalg import (
     commutator,
     dissipator,
     frobenius_norm,
+    herm_to_vec,
     hermiticity_error,
     hermitian_part,
     random_density,
-    random_hermitian,
     spectral_norm_hermitian,
     validate_density,
+    vec_to_herm,
 )
+
+
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return hermitian_part(x)
 
 
 def test_commutator_traceless():
@@ -86,3 +92,33 @@ def test_random_density_properties():
     rho = random_density(7, rng)
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-14
+
+
+def test_herm_vec_roundtrip():
+    rng = np.random.default_rng(20)
+    for dim in (2, 4, 6):
+        h = random_hermitian(dim, rng)
+        v = herm_to_vec(h)
+        assert v.shape == (dim * dim,)
+        assert v.dtype == np.float64
+        np.testing.assert_allclose(vec_to_herm(v, dim), h, atol=1e-15)
+
+
+def test_herm_to_vec_rejects_non_hermitian():
+    m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+    with pytest.raises(ValueError):
+        herm_to_vec(m)
+
+
+def test_vec_to_herm_on_a_stack_matches_per_vector_calls():
+    rng = np.random.default_rng(21)
+    for dim in (1, 2, 3, 5):
+        stack = rng.standard_normal((7, dim * dim))
+        batched = vec_to_herm(stack, dim)
+        assert batched.shape == (7, dim, dim)
+        single = np.stack([vec_to_herm(v, dim) for v in stack])
+        # bit for bit, real and imaginary parts alike
+        assert batched.tobytes() == single.tobytes()
+        assert hermiticity_error(batched[0]) == 0.0
+    with pytest.raises(ValueError):
+        vec_to_herm(np.zeros((2, 2, 4)), 2)

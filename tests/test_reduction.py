@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cptsim.linalg import frobenius_norm, hermiticity_error, random_density
+from cptsim.linalg import frobenius_norm, herm_to_vec, hermiticity_error, random_density, vec_to_herm
 from cptsim.models import LambdaParams, build_two_scale, generator_apply, slow_timescale
 from cptsim.reduction import (
     SlowFastSplit,
@@ -18,7 +18,7 @@ from cptsim.reduction import (
     split_slow_fast,
     standard_form,
 )
-from cptsim.tikhonov import herm_to_vec, manifold_first_order, vec_to_herm
+from cptsim.tikhonov import manifold_first_order
 
 FOUR_LEVEL = LambdaParams(
     detuning=(0.5, 1.2, 0.7, 1.0),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cptsim.sim
 from cptsim.models import (
     DriveSpec,
     LambdaParams,
@@ -16,7 +17,6 @@ from cptsim.sim import (
     IntegrationError,
     auto_dt,
     compare_full_vs_slow,
-    conservation_report,
     convergence_order,
     dt_max,
     epsilon_sweep,
@@ -60,11 +60,10 @@ def test_integrate_rejects_bad_inputs():
 def test_trajectory_samples_are_physical():
     m = build_two_scale(TWO_LEVEL)
     traj = integrate(m, embedded_uniform(2), t_end=2.0, dt=1e-3, sample_every=50)
-    report = conservation_report(traj)
-    assert report["max_trace_drift"] <= 1e-12
-    assert report["max_hermiticity_error"] <= 1e-13
-    assert report["min_eigenvalue"] >= -1e-10
-    assert report["n_renorm"] == 0
+    assert traj.meta["max_trace_drift"] <= 1e-12
+    assert traj.meta["max_hermiticity_error"] <= 1e-13
+    assert traj.meta["min_eigenvalue"] >= -1e-10
+    assert traj.meta["n_renorm"] == 0
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(2.0, abs=1e-9)
     assert np.all(traj.outputs >= 0.0)
@@ -144,6 +143,22 @@ def test_integrate_refuses_runs_over_budget():
     for t_end_slow in (1e12, 1e306):
         with pytest.raises(BudgetError, match="dt_max="):
             epsilon_sweep(TWO_LEVEL, (1.0, 2.0, 4.0, 8.0), t_end_slow=t_end_slow)
+
+
+def test_sample_budget_counts_real_samples_and_decoded_states(monkeypatch):
+    # 16 bytes per entry of the decoded states alone fit; with the 8-byte real samples they do not
+    m = build_two_scale(TWO_LEVEL)
+    dt = auto_dt(m, t_end=1e12)
+    n_steps = MAX_SAMPLE_BYTES // (m.dim**2 * 24) + 1
+    assert (n_steps + 1) * m.dim**2 * 16 <= MAX_SAMPLE_BYTES
+
+    def allocated(*args):
+        raise AssertionError("the run got past its budget check")
+
+    # the sample indices are the first thing a run allocates
+    monkeypatch.setattr(cptsim.sim, "sample_indices", allocated)
+    with pytest.raises(BudgetError, match="with their decoded states"):
+        integrate(m, embedded_uniform(2), t_end=n_steps * dt, dt=dt, sample_every=1)
 
 
 def two_level_pair():

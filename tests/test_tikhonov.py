@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from cptsim.cli import _scalar_family
-from cptsim.linalg import random_hermitian
 from cptsim.tikhonov import (
     TikhonovSystem,
     expansion_residuals,
     fit_loglog_slope,
-    herm_to_vec,
     integrate_full,
     manifold_first_order,
     manifold_second_order,
-    vec_to_herm,
 )
 
 
@@ -28,22 +25,6 @@ def scalar_family_gxy(eps):
 def scalar_family_coupled(eps):
     # f = -x + y, g = x + y; exact slope k = eps + 2 eps^2 + 3 eps^3 + ...
     return TikhonovSystem(a=np.array([[1.0]]), c=np.array([[-1.0, 1.0], [1.0, 1.0]]), epsilon=eps)
-
-
-def test_herm_vec_roundtrip():
-    rng = np.random.default_rng(20)
-    for dim in (2, 4, 6):
-        h = random_hermitian(dim, rng)
-        v = herm_to_vec(h)
-        assert v.shape == (dim * dim,)
-        assert v.dtype == np.float64
-        np.testing.assert_allclose(vec_to_herm(v, dim), h, atol=1e-15)
-
-
-def test_herm_to_vec_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-    with pytest.raises(ValueError):
-        herm_to_vec(m)
 
 
 def test_system_rejects_unstable_fast_map():
