@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .linalg import (
     DensityReport,
-    commutator,
-    dissipator,
     frobenius_norm,
     herm_to_vec,
     hermiticity_error,
@@ -28,7 +26,6 @@ from .models import (
     build_three_scale,
     build_two_scale,
     effective_hamiltonian,
-    generator_apply,
     liouvillian,
     rwa_effective,
     slow_timescale,
@@ -40,7 +37,6 @@ from .reduction import (
     bright_dark_states,
     embed_ground,
     merge,
-    reconstruct_full,
     reduce_model,
     rho_f_first_order,
     slow_output,
@@ -73,8 +69,6 @@ from .kernels import backend_name
 __all__ = [
     "__version__",
     "DensityReport",
-    "commutator",
-    "dissipator",
     "frobenius_norm",
     "herm_to_vec",
     "hermiticity_error",
@@ -88,7 +82,6 @@ __all__ = [
     "build_three_scale",
     "build_two_scale",
     "effective_hamiltonian",
-    "generator_apply",
     "liouvillian",
     "rwa_effective",
     "slow_timescale",
@@ -98,7 +91,6 @@ __all__ = [
     "bright_dark_states",
     "embed_ground",
     "merge",
-    "reconstruct_full",
     "reduce_model",
     "rho_f_first_order",
     "slow_output",

@@ -7,7 +7,10 @@ the excited projector P = diag(1, 0, ..., 0).
 Also owns the one vector form of a state: herm_to_vec encodes a
 Hermitian d x d matrix as d^2 reals, and real_superop gives the real
 d^2 x d^2 matrix that a Hermiticity-preserving superoperator is in those
-coordinates.  The integrator and the Tikhonov kit both work there.
+coordinates.  That is the one route by which the library applies a
+generator: sim.integrate, sim.equilibrium_check and the coupling
+matrix of reduction.standard_form all take real_superop of
+models.liouvillian or models.commutator_superop.
 """
 
 from __future__ import annotations
@@ -31,29 +34,6 @@ def _check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a
-
-
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[A, B] = AB - BA."""
-    a = _check_square(a, "A")
-    b = _check_square(b, "B")
-    _check_same_dim(a, b)
-    return a @ b - b @ a
-
-
-def dissipator(q: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """2 Q rho Q^dag - Q^dag Q rho - rho Q^dag Q (caller applies the rate/2)."""
-    q = _check_square(q, "Q")
-    rho = _check_square(rho, "rho")
-    _check_same_dim(q, rho)
-    qd = q.conj().T
-    qdq = qd @ q
-    return 2.0 * (q @ rho @ qd) - qdq @ rho - rho @ qdq
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    as_complex,
-    commutator,
-    dissipator,
-    hermiticity_error,
-    _check_square,
-)
+from .linalg import as_complex, hermiticity_error, _check_square
 
 
 def _as_float_tuple(xs, name: str) -> tuple[float, ...]:
@@ -137,21 +131,26 @@ class ThreeScaleParams:
         """Optical transition frequencies lambda_e - lambda_g[k]."""
         return tuple(self.lambda_e - lg for lg in self.lambda_g)
 
-    @property
-    def omega_diff(self) -> np.ndarray:
-        w = np.asarray(self.omega)
-        return w[:, None] - w[None, :]
+    def separation_ratios(self) -> tuple[float, float, float]:
+        """(slow/fast, fast/optical, fast/ground) ratios; all should be << 1 in regime.
 
-    def separation_ratios(self) -> tuple[float, float]:
-        """(slow/fast, fast/optical) ratios; both should be << 1 in regime."""
+        The slow scales are the Rabi amplitudes |mu_k u_k| and the
+        detunings.  The rotating-wave model pairs tone k with transition k
+        only, so the ground splittings must also be well above the decay
+        rates: fast/ground is max Gamma over the smallest |lambda_g,i -
+        lambda_g,j| (inf for degenerate ground states, 0 for one).
+        """
         slow = max(
-            float(np.abs(self.omega_diff).max()),
             max(abs(m * u) for m, u in zip(self.mu, self.u_amp)),
+            max(abs(d) for d in self.detuning),
         )
         fast_min = min(self.gamma)
         fast_max = max(self.gamma)
         opt_min = min(self.omega)
-        return slow / fast_min, fast_max / opt_min
+        g = np.sort(np.asarray(self.lambda_g))
+        splitting = float(np.diff(g).min()) if g.size > 1 else math.inf
+        ground = fast_max / splitting if splitting > 0.0 else math.inf
+        return slow / fast_min, fast_max / opt_min, ground
 
 
 @dataclass(frozen=True)
@@ -172,9 +171,6 @@ class DriveSpec:
         for uk, nk in zip(self.amplitudes, self.frequencies):
             val += 2.0 * (uk.real * np.cos(nk * t) - uk.imag * np.sin(nk * t))
         return val
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.u(t) * self.h1
 
 
 @dataclass(frozen=True)
@@ -210,11 +206,6 @@ class LindbladModel:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
-
-    def hamiltonian_at(self, t: float) -> np.ndarray:
-        if self.drive is None:
-            return self.hamiltonian
-        return self.hamiltonian + self.drive(t)
 
 
 def _lambda_jumps(n_ground: int, gamma) -> tuple[tuple[float, np.ndarray], ...]:
@@ -263,11 +254,12 @@ def build_three_scale(p: ThreeScaleParams) -> LindbladModel:
         h0[k + 1, k + 1] = p.lambda_g[k]
         h1[k + 1, 0] = p.mu[k]
         h1[0, k + 1] = p.mu[k]
-    slow_over_fast, fast_over_opt = p.separation_ratios()
-    if slow_over_fast >= 1.0 or fast_over_opt >= 1.0:
+    slow_over_fast, fast_over_opt, fast_over_ground = p.separation_ratios()
+    if max(slow_over_fast, fast_over_opt, fast_over_ground) >= 1.0:
         warnings.warn(
             "time-scale separation weak: "
-            f"slow/fast={slow_over_fast:.3g}, fast/optical={fast_over_opt:.3g}",
+            f"slow/fast={slow_over_fast:.3g}, fast/optical={fast_over_opt:.3g}, "
+            f"fast/ground={fast_over_ground:.3g}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -299,17 +291,6 @@ def rwa_effective(p: ThreeScaleParams) -> LambdaParams:
             stacklevel=2,
         )
     return LambdaParams(detuning=p.detuning, rabi=rabi, gamma=p.gamma)
-
-
-def generator_apply(m: LindbladModel, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Right-hand side of the master equation at time t."""
-    rho = _check_square(rho, "rho")
-    if rho.shape[0] != m.dim:
-        raise ValueError(f"dimension mismatch: rho is {rho.shape[0]}, model is {m.dim}")
-    out = -1j * commutator(m.hamiltonian_at(t), rho)
-    for rate, q in m.jumps:
-        out += (rate / 2.0) * dissipator(q, rho)
-    return out
 
 
 def commutator_superop(h: np.ndarray) -> np.ndarray:

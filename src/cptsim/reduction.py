@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_square, herm_to_vec, vec_to_herm
-from .models import LindbladModel
+from .linalg import _check_square, herm_to_vec, real_superop, vec_to_herm
+from .models import LindbladModel, commutator_superop
 from .tikhonov import TikhonovSystem
 
 
@@ -259,48 +259,37 @@ def slow_output(rm: ReducedModel, rho_s: np.ndarray) -> float:
     return float(bright_form)
 
 
-def reconstruct_full(rho_s: np.ndarray, m: LindbladModel) -> np.ndarray:
-    """Lift a slow state to the full space including its fast response.
-
-    Embeds rho_s on the ground block, attaches the first-order rho_f,
-    and merges.  The correction is traceless, so the result keeps trace 1.
-    """
-    rates = _lambda_jump_structure(m)
-    rho_s = _check_square(rho_s, "rho_s")
-    if rho_s.shape[0] != m.dim - 1:
-        raise ValueError(f"rho_s is {rho_s.shape[0]}-dim, expected {m.dim - 1} (ground block)")
-    embedded = embed_ground(rho_s)
-    rho_f = rho_f_first_order(embedded, m.hamiltonian, float(rates.sum()))
-    return merge(SlowFastSplit(rho_f=rho_f, rho_s=embedded), rates)
-
-
 def standard_form(m: LindbladModel) -> TikhonovSystem:
     """Recast the Lambda master equation as an explicit two-time-scale system.
 
     Slow variable x = vec(rho_s), fast variable y = vec(rho_f), both as
-    real vectors over Hermitian matrices of the full dimension.  The fast
-    relaxation X -> (X + P X P)/2 enters through the matrix A with
-    epsilon = 1/sum(Gamma); the Hamiltonian coupling -i[H, rho], taken
-    through merge and split, supplies the coupling matrix C.
+    real herm_to_vec vectors over Hermitian matrices of the full
+    dimension.  The fast relaxation X -> (X + P X P)/2 enters through the
+    matrix A with epsilon = 1/sum(Gamma).  The Hamiltonian part -i[H, rho]
+    supplies the coupling matrix C = S L M: L is
+    real_superop(commutator_superop(H)), and S and M are the real
+    matrices of split_slow_fast and merge, read off column by column.
     """
     rates = _lambda_jump_structure(m)
-    total = float(rates.sum())
-    h = m.hamiltonian
     dim = m.dim
     nvec = dim * dim
 
-    def coupling(z: np.ndarray) -> np.ndarray:
-        split = SlowFastSplit(rho_f=vec_to_herm(z[nvec:], dim), rho_s=vec_to_herm(z[:nvec], dim))
-        hh = h @ merge(split, rates)
-        parts = split_slow_fast(-1j * (hh - hh.conj().T), rates)
+    def split(v: np.ndarray) -> np.ndarray:
+        parts = split_slow_fast(vec_to_herm(v, dim), rates)
         return np.concatenate([herm_to_vec(parts.rho_s), herm_to_vec(parts.rho_f)])
 
+    def merged(z: np.ndarray) -> np.ndarray:
+        parts = SlowFastSplit(rho_f=vec_to_herm(z[nvec:], dim), rho_s=vec_to_herm(z[:nvec], dim))
+        return herm_to_vec(merge(parts, rates))
+
+    # split and merge are linear: their matrices, applied to the basis vectors
+    s = np.column_stack([split(e) for e in np.eye(nvec)])
+    mm = np.column_stack([merged(e) for e in np.eye(2 * nvec)])
     # X -> (X + P X P)/2 keeps X[0, 0], the first herm_to_vec entry, and halves the rest
     a = 0.5 * np.eye(nvec)
     a[0, 0] = 1.0
-    # the coupling applied to the basis vectors gives its matrix, column by column
     return TikhonovSystem(
         a=a,
-        c=np.column_stack([coupling(e) for e in np.eye(2 * nvec)]),
-        epsilon=1.0 / total,
+        c=s @ real_superop(commutator_superop(m.hamiltonian)) @ mm,
+        epsilon=1.0 / float(rates.sum()),
     )

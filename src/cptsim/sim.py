@@ -31,7 +31,6 @@ from .models import (
     build_three_scale,
     build_two_scale,
     commutator_superop,
-    generator_apply,
     liouvillian,
     rwa_effective,
 )
@@ -359,11 +358,17 @@ def epsilon_sweep(p_base: LambdaParams, scale_factors, t_end_slow: float,
 
 
 def equilibrium_check(rm: ReducedModel, rho_s: np.ndarray) -> float:
-    """Frobenius norm of the reduced generator at rho_s (0 = stationary)."""
+    """Frobenius norm of the reduced generator at rho_s (0 = stationary).
+
+    The generator is applied as the integrator applies it: the real
+    matrix of the reduced Liouvillian (linalg.real_superop) times
+    herm_to_vec(rho_s), decoded back to a matrix.
+    """
     rho_s = as_complex(_check_square(rho_s, "rho_s"))
     if rho_s.shape[0] != rm.n_ground:
         raise ValueError(f"rho_s is {rho_s.shape[0]}-dim, model has {rm.n_ground} ground states")
-    return frobenius_norm(generator_apply(as_lindblad(rm), rho_s))
+    lmat = real_superop(liouvillian(as_lindblad(rm)))
+    return frobenius_norm(vec_to_herm(lmat @ herm_to_vec(rho_s), rm.n_ground))
 
 
 class RwaResult(NamedTuple):

@@ -1,4 +1,4 @@
-"""Acceptance gate: eight go/no-go criteria for the release.
+"""Acceptance gate: go/no-go criteria A1-A8 and A11 for the release.
 
 Each test records one verdict through the `acceptance` fixture; the
 conftest reporter prints a PASS/FAIL line per criterion after the run.
@@ -28,6 +28,7 @@ from cptsim.reduction import (
     standard_form,
 )
 from cptsim.sim import (
+    auto_dt,
     compare_full_vs_slow,
     convergence_order,
     epsilon_sweep,
@@ -295,4 +296,34 @@ def test_a8_split_merge_bijection(acceptance):
         "A8 slow/fast split is lossless",
         ok,
         f"worst round-trip deviation over 500 draws {worst:.2e} <= 1e-13",
+    )
+
+
+def test_a11_dark_subspace_is_decoherence_free(acceptance):
+    # three dark states: every mixture on their span stays put and emits nothing
+    # at two-photon resonance, and stops being dark once the detunings differ
+    rabi = (1.0, 1.2j, 1.1, 1.3)
+    _, darks = bright_dark_states(rabi)
+    iso = np.column_stack(darks)
+    rng = np.random.default_rng(2024)
+    states = [iso @ random_density(3, rng) @ iso.conj().T for _ in range(20)]
+    results = {}
+    for name, detuning in (("resonant", (0.7,) * 4), ("detuned", FOUR_LEVEL.detuning)):
+        p = LambdaParams(detuning=detuning, rabi=rabi, gamma=FOUR_LEVEL.gamma)
+        m = build_two_scale(p)
+        rm = reduce_model(m)
+        worst_norm = max(equilibrium_check(rm, rho) for rho in states)
+        t_end = 5.0 * slow_timescale(p)
+        traj = integrate(m, embed_ground(states[0]), t_end, auto_dt(m, t_end))
+        results[name] = (worst_norm, float(traj.outputs.max()))
+    norm_res, y_res = results["resonant"]
+    norm_det, y_det = results["detuned"]
+    # the detuned bound is frozen from a reference run, which reached 1.18e-1
+    ok = norm_res <= 1e-13 and y_res <= 1e-6 and y_det > 5e-2
+    acceptance(
+        "A11 dark subspace is decoherence-free",
+        ok,
+        f"equal detunings: worst slow-generator norm over 20 dark mixtures {norm_res:.2e} "
+        f"<= 1e-13, full-model max output {y_res:.2e} <= 1e-6; FOUR_LEVEL detunings: "
+        f"norm {norm_det:.2e}, full-model max output {y_det:.2e} > 5e-2",
     )

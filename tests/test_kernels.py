@@ -15,11 +15,11 @@ from cptsim.models import (
     build_three_scale,
     build_two_scale,
     commutator_superop,
-    generator_apply,
     liouvillian,
 )
 from cptsim.reduction import embed_ground
 from cptsim.sim import TRACE_DRIFT_TOL, dt_max, integrate
+from lindblad_reference import generator_apply
 
 
 def transpose_indices(dim: int) -> np.ndarray:

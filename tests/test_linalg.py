@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from cptsim.linalg import (
-    commutator,
-    dissipator,
     frobenius_norm,
     herm_to_vec,
     hermiticity_error,
@@ -13,6 +11,7 @@ from cptsim.linalg import (
     validate_density,
     vec_to_herm,
 )
+from lindblad_reference import commutator, dissipator
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cptsim.linalg import frobenius_norm, herm_to_vec, hermiticity_error, random_density, vec_to_herm
-from cptsim.models import LambdaParams, build_two_scale, generator_apply, slow_timescale
+from cptsim.models import LambdaParams, build_two_scale, slow_timescale
 from cptsim.reduction import (
     SlowFastSplit,
     as_lindblad,
     bright_dark_states,
     embed_ground,
     merge,
-    reconstruct_full,
     reduce_model,
     rho_f_first_order,
     slow_output,
@@ -19,6 +18,7 @@ from cptsim.reduction import (
     standard_form,
 )
 from cptsim.tikhonov import manifold_first_order
+from lindblad_reference import generator_apply
 
 FOUR_LEVEL = LambdaParams(
     detuning=(0.5, 1.2, 0.7, 1.0),
@@ -174,20 +174,6 @@ def test_as_lindblad_generator_preserves_trace():
     drho = generator_apply(m, rho)
     assert abs(np.trace(drho)) < 1e-13
     assert hermiticity_error(drho) < 1e-14
-
-
-def test_reconstruct_full_adds_first_order_coherence():
-    rng = np.random.default_rng(15)
-    m = build_two_scale(FOUR_LEVEL)
-    rho_g = random_density(4, rng)
-    full = reconstruct_full(rho_g, m)
-    assert full.shape == (5, 5)
-    np.testing.assert_allclose(full[1:, 1:], rho_g)
-    assert abs(np.trace(full) - 1.0) < 1e-14
-    embedded = embed_ground(rho_g)
-    expected = embedded + rho_f_first_order(embedded, m.hamiltonian, FOUR_LEVEL.total_gamma)
-    np.testing.assert_allclose(full, expected, atol=1e-15)
-    assert np.abs(full[0, 1:]).max() > 0.0
 
 
 def test_slow_timescale_of_reduced_model():

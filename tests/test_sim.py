@@ -127,7 +127,13 @@ def test_invariant_breach_names_the_step():
         integrate(anti, embedded_uniform(2), t_end=1.0, dt=1e-3, sample_every=10)
 
 
-def test_integrate_refuses_runs_over_budget():
+def test_integrate_refuses_runs_over_budget(monkeypatch):
+    def allocated(*args):
+        raise AssertionError("the run got past its budget check")
+
+    # every refusal below comes before the sample indices, the first thing a run allocates;
+    # a regressed guard fails here instead of running millions of samples
+    monkeypatch.setattr(cptsim.sim, "sample_indices", allocated)
     m = build_two_scale(TWO_LEVEL)
     dt = auto_dt(m, t_end=1e12)
     with pytest.raises(BudgetError, match="steps at dt=") as info:
