@@ -94,7 +94,7 @@ class RunConfig:
     initial_state: str | tuple = "uniform_ground"
     t_end: float | None = None
     t_end_units: str = "absolute"
-    dt: float | str = "auto"
+    dt: float | None = None  # None: "auto"
     sample_every: int = 10
     sweep_scales: tuple[float, ...] | None = None
     output_path: str | None = None
@@ -125,10 +125,10 @@ def _number(x, key: str) -> float:
     return x
 
 
-def _dt_from(x) -> float | str:
-    """dt from the config file or --dt: 'auto' or a positive finite number."""
+def _dt_from(x) -> float | None:
+    """dt from the config file or --dt: a positive finite number, or None for 'auto'."""
     if x == "auto":
-        return x
+        return None
     if isinstance(x, str) or _number(x, "dt") <= 0.0:
         raise ConfigError(f"dt must be a positive number or 'auto', got {x!r}")
     return float(x)
@@ -303,29 +303,17 @@ def _atomic_write(path: str, text: str):
     os.replace(tmp, path)
 
 
-def _csv_text(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+def _csv_text(header: str, columns) -> str:
+    lines = [header] + [",".join(_fmt(x) for x in row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
-def _lambda_params(config: RunConfig) -> LambdaParams:
-    if not isinstance(config.model, LambdaParams):
-        raise ConfigError(f"experiment {config.experiment} needs model.type 'lambda'")
+def _model_of(config: RunConfig, kind: type):
+    """config.model if it is a kind, else the ConfigError naming the model.type needed."""
+    if not isinstance(config.model, kind):
+        name = "lambda" if kind is LambdaParams else "three_scale"
+        raise ConfigError(f"experiment {config.experiment} needs model.type '{name}'")
     return config.model
-
-
-def _three_scale_params(config: RunConfig) -> ThreeScaleParams:
-    if not isinstance(config.model, ThreeScaleParams):
-        raise ConfigError(f"experiment {config.experiment} needs model.type 'three_scale'")
-    return config.model
-
-
-def _rabi_of(config: RunConfig) -> tuple[complex, ...]:
-    if isinstance(config.model, LambdaParams):
-        return config.model.rabi
-    return tuple(m * u for m, u in zip(config.model.mu, config.model.u_amp))
 
 
 def _resolve_t_end(config: RunConfig, p: LambdaParams) -> float:
@@ -334,33 +322,33 @@ def _resolve_t_end(config: RunConfig, p: LambdaParams) -> float:
     return config.t_end
 
 
-def _fixed_dt(config: RunConfig) -> float | None:
-    """The configured step (always positive), or None when dt is 'auto'."""
-    return config.dt if isinstance(config.dt, float) else None
+def _projector(p: LambdaParams, state: str) -> np.ndarray:
+    """|b><b| for state 'bright', else |d><d| for the first dark state d, on the ground block."""
+    try:
+        bright, darks = bright_dark_states(p.rabi)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if state == "bright":
+        vec = bright
+    else:
+        if not darks:
+            raise ConfigError("dark state needs at least 2 ground states")
+        vec = darks[0]
+    return np.outer(vec, vec.conj())
 
 
-def _full_initial_state(config: RunConfig, n_ground: int) -> np.ndarray:
-    """Initial state in the (N+1)-dim space."""
+def _full_initial_state(config: RunConfig, p: LambdaParams) -> np.ndarray:
+    """Initial state in the (N+1)-dim space; p is the run's (rotating-wave) Lambda model."""
     state = config.initial_state
-    dim = n_ground + 1
+    dim = p.n_ground + 1
     if state == "uniform_ground":
-        return embed_ground(np.eye(n_ground, dtype=np.complex128) / n_ground)
+        return embed_ground(np.eye(p.n_ground, dtype=np.complex128) / p.n_ground)
     if state == "excited":
         rho = np.zeros((dim, dim), dtype=np.complex128)
         rho[0, 0] = 1.0
         return rho
     if state in ("bright", "dark"):
-        try:
-            bright, darks = bright_dark_states(_rabi_of(config))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if state == "bright":
-            vec = bright
-        else:
-            if not darks:
-                raise ConfigError("dark state needs at least 2 ground states")
-            vec = darks[0]
-        return embed_ground(np.outer(vec, vec.conj()))
+        return embed_ground(_projector(p, state))
     rho = np.array(state, dtype=np.complex128)
     if rho.shape != (dim, dim):
         raise ConfigError(f"initial_state matrix must be {dim} x {dim}, got {rho.shape}")
@@ -374,7 +362,7 @@ def _ground_initial_state(config: RunConfig, p: LambdaParams) -> np.ndarray:
     """Initial state on the N-dim ground block (for compare/dark runs)."""
     if config.initial_state == "excited":
         raise ConfigError("initial_state 'excited' is not ground-supported; pick a ground state")
-    rho_full = _full_initial_state(config, p.n_ground)
+    rho_full = _full_initial_state(config, p)
     split = split_slow_fast(rho_full, p.gamma)
     if np.abs(split.rho_f).max() > 1e-12:
         raise ConfigError("initial_state must be supported on the ground block")
@@ -402,13 +390,11 @@ def _traj_meta(prefix: str, traj) -> list[tuple[str, str]]:
     ]
 
 
-def _simulate_output(traj, pops: np.ndarray):
-    """Artifacts of simulate-full and simulate-slow; pops has the excited column first."""
-    n = pops.shape[1] - 1
-    header = "t,y,pop_e," + ",".join(f"pop_g{k}" for k in range(1, n + 1))
-    rows = [[traj.times[i], traj.outputs[i]] + list(pops[i]) for i in range(len(traj.times))]
+def _simulate_output(traj, pops):
+    """Artifacts of simulate-full and simulate-slow; pops are columns, the excited one first."""
+    header = "t,y,pop_e," + ",".join(f"pop_g{k}" for k in range(1, len(pops)))
     summary = [f"y_final: {_fmt(traj.outputs[-1])}", f"y_max: {_fmt(traj.outputs.max())}"]
-    return header, rows, _traj_meta("", traj), summary
+    return header, [traj.times, traj.outputs, *pops], _traj_meta("", traj), summary
 
 
 def _run_simulate(config: RunConfig):
@@ -418,61 +404,58 @@ def _run_simulate(config: RunConfig):
     else:
         m, p = build_two_scale(model), model
     t_end = _resolve_t_end(config, p)
-    rho0 = _full_initial_state(config, p.n_ground)
-    dt = _fixed_dt(config) or auto_dt(m, t_end)
-    traj = integrate(m, rho0, t_end, dt, config.sample_every)
-    return _simulate_output(traj, traj.populations())
+    rho0 = _full_initial_state(config, p)
+    traj = integrate(m, rho0, t_end, config.dt or auto_dt(m, t_end), config.sample_every)
+    return _simulate_output(traj, traj.populations().T)
 
 
 def _run_simulate_slow(config: RunConfig):
-    p = _lambda_params(config)
+    p = _model_of(config, LambdaParams)
     m = as_lindblad(reduce_model(build_two_scale(p)))
     t_end = _resolve_t_end(config, p)
-    rho0_full = _full_initial_state(config, p.n_ground)
+    rho0_full = _full_initial_state(config, p)
     # project onto the slow variable; ground-supported states pass through
     rho0 = split_slow_fast(rho0_full, p.gamma).rho_s[1:, 1:]
-    dt = _fixed_dt(config) or auto_dt(m, t_end)
-    traj = integrate(m, rho0, t_end, dt, config.sample_every)
-    pops = traj.populations()
-    return _simulate_output(traj, np.column_stack([np.zeros(len(pops)), pops]))
+    traj = integrate(m, rho0, t_end, config.dt or auto_dt(m, t_end), config.sample_every)
+    return _simulate_output(traj, [np.zeros(len(traj.times)), *traj.populations().T])
 
 
 def _compare_output(config: RunConfig, p: LambdaParams, m_full: LindbladModel,
                     m_slow: LindbladModel, rho0_ground: np.ndarray):
     """Full and reduced runs on the config's clock, with their CSV table and meta."""
     result = compare_full_vs_slow(
-        m_full, m_slow, rho0_ground, _resolve_t_end(config, p), _fixed_dt(config), config.sample_every
+        m_full, m_slow, rho0_ground, _resolve_t_end(config, p), config.dt, config.sample_every
     )
     header = "t,y_full,y_slow,dist_frobenius"
-    rows = [
-        [result.full.times[i], result.full.outputs[i], result.slow.outputs[i], result.distances[i]]
-        for i in range(len(result.full.times))
-    ]
+    columns = [result.full.times, result.full.outputs, result.slow.outputs, result.distances]
     meta = _traj_meta("full_", result.full) + _traj_meta("slow_", result.slow)
-    return result, header, rows, meta
+    return result, header, columns, meta
 
 
 def _run_compare(config: RunConfig):
-    p = _lambda_params(config)
+    p = _model_of(config, LambdaParams)
     rho0_ground = _ground_initial_state(config, p)
     m_full = build_two_scale(p)
     m_slow = as_lindblad(reduce_model(m_full))
-    result, header, rows, meta = _compare_output(config, p, m_full, m_slow, rho0_ground)
+    result, header, columns, meta = _compare_output(config, p, m_full, m_slow, rho0_ground)
     summary = [
         f"T_s: {_fmt(slow_timescale(p))}",
         f"dist_max: {_fmt(result.distances.max())}",
         f"dist_final: {_fmt(result.distances[-1])}",
     ]
-    return header, rows, meta, summary
+    return header, columns, meta, summary
 
 
 def _run_reduce(config: RunConfig):
-    p = _lambda_params(config)
+    p = _model_of(config, LambdaParams)
     rm = reduce_model(build_two_scale(p))
     header = "k,rate_slow,gamma_slow,bright_re,bright_im"
-    rows = [
-        [k + 1, rm.jumps_slow[k][0], rm.gamma_slow[k], rm.bright_state[k].real, rm.bright_state[k].imag]
-        for k in range(rm.n_ground)
+    columns = [
+        range(1, rm.n_ground + 1),
+        [rate for rate, _ in rm.jumps_slow],
+        rm.gamma_slow,
+        rm.bright_state.real,
+        rm.bright_state.imag,
     ]
     summary = [
         f"n_ground: {rm.n_ground}",
@@ -489,15 +472,13 @@ def _run_reduce(config: RunConfig):
     summary.append("gamma_slow: " + " ".join(_fmt(g) for g in rm.gamma_slow))
     summary.append("bright_state: " + " ".join(_fmt_complex(z) for z in rm.bright_state))
     summary.append(f"sum_gamma_slow: {_fmt(sum(rm.gamma_slow))}")
-    return header, rows, [], summary
+    return header, columns, [], summary
 
 
 def _run_sweep(config: RunConfig):
-    p = _lambda_params(config)
-    t_end_slow = _resolve_t_end(config, p)
-    result = epsilon_sweep(p, config.sweep_scales, t_end_slow, _fixed_dt(config))
+    p = _model_of(config, LambdaParams)
+    result = epsilon_sweep(p, config.sweep_scales, _resolve_t_end(config, p), config.dt)
     header = "epsilon,sup_distance"
-    rows = [[result.epsilons[i], result.sup_distances[i]] for i in range(len(result.epsilons))]
     meta = [("scale_factors", " ".join(_fmt(s) for s in result.scale_factors))]
     summary = [
         f"fitted_slope: {_fmt(result.fitted_slope)}",
@@ -506,40 +487,31 @@ def _run_sweep(config: RunConfig):
         f"fitted_slope_all_points: {_fmt(result.fitted_slope_all)}",
         "sup_distance_all_t: " + " ".join(_fmt(d) for d in result.sup_distances_all),
     ]
-    return header, rows, meta, summary
+    return header, [result.epsilons, result.sup_distances], meta, summary
 
 
 def _run_rwa_check(config: RunConfig):
-    p3 = _three_scale_params(config)
+    p3 = _model_of(config, ThreeScaleParams)
     t_end = _resolve_t_end(config, rwa_effective(p3))
-    result = rwa_comparison(p3, t_end, _fixed_dt(config), config.sample_every)
+    result = rwa_comparison(p3, t_end, config.dt, config.sample_every)
     header = "t,pop_e_driven,pop_e_rwa,abs_diff"
-    pe_d = result.driven.excited_population
-    pe_r = result.rwa.excited_population
-    rows = [
-        [result.driven.times[i], pe_d[i], pe_r[i], abs(pe_d[i] - pe_r[i])]
-        for i in range(len(pe_d))
-    ]
+    pe_d = result.driven.populations()[:, 0]
+    pe_r = result.rwa.populations()[:, 0]
     meta = _traj_meta("driven_", result.driven) + _traj_meta("rwa_", result.rwa)
     summary = [f"max_pop_diff: {_fmt(result.max_pop_diff)}"]
-    return header, rows, meta, summary
+    return header, [result.driven.times, pe_d, pe_r, np.abs(pe_d - pe_r)], meta, summary
 
 
 def _run_dark_state_check(config: RunConfig):
-    p = _lambda_params(config)
+    p = _model_of(config, LambdaParams)
     if p.n_ground < 2:
         raise ConfigError("dark-state-check needs at least 2 ground states")
     m_full = build_two_scale(p)
     rm = reduce_model(m_full)
-    try:
-        _, darks = bright_dark_states(p.rabi)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    dark = darks[0]
-    rho_dark = np.outer(dark, dark.conj())
+    rho_dark = _projector(p, "dark")
     gen_norm = equilibrium_check(rm, rho_dark)
     y_dark = slow_output(rm, rho_dark)
-    result, header, rows, meta = _compare_output(config, p, m_full, as_lindblad(rm), rho_dark)
+    result, header, columns, meta = _compare_output(config, p, m_full, as_lindblad(rm), rho_dark)
     y_slow_max = max(slow_output(rm, rho) for rho in result.slow.states)
     y_full_max = float(result.full.outputs.max())
     summary = [
@@ -550,7 +522,7 @@ def _run_dark_state_check(config: RunConfig):
         f"y_full_max: {_fmt(y_full_max)}",
         f"y_full_max<=1e-6: {'PASS' if y_full_max <= 1e-6 else 'FAIL'}",
     ]
-    return header, rows, meta, summary
+    return header, columns, meta, summary
 
 
 def _scalar_family(eps: float) -> TikhonovSystem:
@@ -568,7 +540,6 @@ def _run_verify_appendix(config: RunConfig):
     slope1, resid1 = fit_loglog_slope(epsilons, r1)
     slope2, resid2 = fit_loglog_slope(epsilons, r2)
     header = "epsilon,residual_order1,residual_order2"
-    rows = [[epsilons[i], r1[i], r2[i]] for i in range(len(epsilons))]
     summary = [
         f"order1_slope: {_fmt(slope1)}",
         f"order1_slope_in_[1.6,2.4]: {'PASS' if 1.6 <= slope1 <= 2.4 else 'FAIL'}",
@@ -595,7 +566,7 @@ def _run_verify_appendix(config: RunConfig):
         summary.append(
             f"manifold_vs_closed_form<=1e-10: {'PASS' if worst <= 1e-10 else 'FAIL'}"
         )
-    return header, rows, [], summary
+    return header, [epsilons, r1, r2], [], summary
 
 
 _RUNNERS = {
@@ -620,12 +591,12 @@ def run(config: RunConfig, config_bytes: bytes) -> dict:
     if config.output_path is None:
         raise ConfigError("missing key: output_path")
     config_sha = hashlib.sha256(config_bytes).hexdigest()
-    header, rows, meta_extra, summary_lines = _RUNNERS[config.experiment](config)
+    header, columns, meta_extra, summary_lines = _RUNNERS[config.experiment](config)
     outdir = config.output_path
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, f"{config.experiment}.csv")
     summary_path = os.path.join(outdir, "summary.txt")
-    _atomic_write(csv_path, _csv_text(header, rows))
+    _atomic_write(csv_path, _csv_text(header, columns))
     lines = _meta_lines(config, config_sha, meta_extra) + summary_lines
     _atomic_write(summary_path, "\n".join(lines) + "\n")
     return {"csv": csv_path, "summary": summary_path}

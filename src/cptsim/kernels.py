@@ -74,7 +74,7 @@ def _stage_generators(l0, l1, u, dt, n_steps):
         yield from zip(*stacks)
 
 
-def rk4_superop(l0, v0, dt, n_steps, sample_idx, renorm_tol, l1=None, u=None):
+def rk4_superop(l0, v0, dt, sample_idx, renorm_tol, l1=None, u=None):
     """RK4 on dv/dt = (L0 + u(t) L1) v with trace control, in herm_to_vec coordinates.
 
     v0 and the generators are real (see linalg.real_superop).  Without l1
@@ -83,15 +83,16 @@ def rk4_superop(l0, v0, dt, n_steps, sample_idx, renorm_tol, l1=None, u=None):
     callable mapping an array of times to an array of values); each step
     applies the generators at its stage times t, t + dt/2 and t + dt,
     built a chunk of steps at a time.  Either way trace control runs once
-    per sample.  sample_idx runs from 0 to n_steps (see sample_indices).
+    per sample.  sample_idx holds the steps to record, from 0 up to the
+    last step (see sample_indices), so its last entry is the step count.
     Returns (samples, n_renorm, max_drift): the real states at those
     steps, the renormalization count, and the largest |trace - 1| seen
     before any renormalization (NaN once the state is no longer finite).
     """
     if (l1 is None) != (u is None):
         raise ValueError("l1 and u must be given together")
-    if sample_idx[0] != 0 or sample_idx[-1] != n_steps:
-        raise ValueError("sample_idx must run from step 0 to n_steps, as sample_indices gives")
+    if sample_idx[0] != 0:
+        raise ValueError("sample_idx must start at step 0, as sample_indices gives")
     dim = math.isqrt(v0.shape[0])
     v = np.array(v0, dtype=np.float64)
     out = np.empty((sample_idx.shape[0], v.shape[0]))
@@ -118,7 +119,7 @@ def rk4_superop(l0, v0, dt, n_steps, sample_idx, renorm_tol, l1=None, u=None):
                 increments[k] = rk4_increment(l0, dt, k)
             return v + np.dot(increments[k], v)
     else:
-        stages = _stage_generators(l0, l1, u, dt, n_steps)
+        stages = _stage_generators(l0, l1, u, dt, int(sample_idx[-1]))
         sixth = dt / 6.0
         half = dt / 2.0
 

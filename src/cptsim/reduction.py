@@ -11,6 +11,7 @@ states.  Reduced matrices are N x N and indexed by ground state only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +201,11 @@ def reduce_model(m: LindbladModel) -> ReducedModel:
     rates = _lambda_jump_structure(m)
     n = m.dim - 1
     h = m.hamiltonian
+    # the slow rates are 4 Gamma_k and gamma_slow divides by (sum Gamma)^2;
+    # Python floats overflow to inf without a warning
+    total = sum(rates.tolist())
+    if not math.isfinite(4.0 * total * total):
+        raise ValueError(f"decay rates too large: 4*(sum Gamma)^2 overflows at sum Gamma = {total:.3e}")
     total = float(rates.sum())
     h_s = h[1:, 1:].copy()
     # row 0 of H on the ground columns; conj gives the Rabi vector Omega

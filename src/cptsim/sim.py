@@ -35,7 +35,7 @@ from .models import (
     rwa_effective,
 )
 from .reduction import ReducedModel, as_lindblad, embed_ground, reduce_model
-from .kernels import backend_name, rk4_superop, sample_indices
+from .kernels import rk4_superop, sample_indices
 from .tikhonov import fit_loglog_slope
 
 TRACE_DRIFT_TOL = 1e-12
@@ -69,10 +69,6 @@ class Trajectory:
     def __post_init__(self):
         if not (len(self.times) == len(self.states) == len(self.outputs)):
             raise ValueError("times, states and outputs must have equal length")
-
-    @property
-    def excited_population(self) -> np.ndarray:
-        return self.states[:, 0, 0].real
 
     def populations(self) -> np.ndarray:
         """Diagonal occupations, shape (n_samples, dim)."""
@@ -157,43 +153,6 @@ def _check_run_args(m: LindbladModel, rho0: np.ndarray, t_end: float, dt: float,
     return rho0, n_steps
 
 
-def _finalize(m: LindbladModel, samples: np.ndarray, sample_idx: np.ndarray, dt: float,
-              n_steps: int, sample_every: int, n_renorm: int, max_drift: float) -> Trajectory:
-    dim = m.dim
-    states = vec_to_herm(samples, dim)
-    times = sample_idx.astype(np.float64) * dt
-    max_herm = 0.0
-    min_eig = math.inf
-    for i, rho in enumerate(states):
-        report = validate_density(
-            rho, tol_trace=SAMPLE_TRACE_TOL, tol_pos=SAMPLE_POS_TOL, tol_herm=SAMPLE_HERM_TOL
-        )
-        if not report.ok:
-            raise IntegrationError(
-                f"state invariant breach at step {sample_idx[i]}, t={times[i]:.6g} "
-                f"({m.label}): {report}"
-            )
-        max_herm = max(max_herm, report.herm_deviation)
-        min_eig = min(min_eig, report.min_eigenvalue)
-    weight = np.zeros((dim, dim), dtype=np.complex128)
-    for rate, q in m.jumps:
-        weight += rate * (q.conj().T @ q)
-    outputs = np.einsum("ij,nji->n", weight, states).real
-    outputs[(outputs < 0.0) & (outputs >= -1e-12)] = 0.0
-    meta = {
-        "label": m.label,
-        "dt": dt,
-        "n_steps": n_steps,
-        "sample_every": sample_every,
-        "n_renorm": int(n_renorm),
-        "max_trace_drift": float(max_drift),
-        "max_hermiticity_error": max_herm,
-        "min_eigenvalue": min_eig,
-        "backend": backend_name(),
-    }
-    return Trajectory(times=times, states=states, outputs=outputs, meta=meta)
-
-
 def integrate(m: LindbladModel, rho0: np.ndarray, t_end: float, dt: float,
               sample_every: int = 10) -> Trajectory:
     """Evolve a model with fixed-step RK4.
@@ -206,22 +165,51 @@ def integrate(m: LindbladModel, rho0: np.ndarray, t_end: float, dt: float,
     evaluated on arrays of stage times a chunk of steps at a time, and
     takes every step.  dt is trimmed so an integer number of steps lands
     exactly on t_end.  The trace is renormalized after a sample when it
-    drifts beyond 1e-12 (counted in meta; meta["n_steps"] counts RK4
-    steps), and the decoded samples are validated one by one.  Runs
-    beyond MAX_STEPS steps or MAX_SAMPLE_BYTES of samples (with their
-    decoded states) raise BudgetError before anything is allocated.
+    drifts beyond 1e-12, and the decoded samples are validated one by
+    one.  Runs beyond MAX_STEPS steps or MAX_SAMPLE_BYTES of samples
+    (with their decoded states) raise BudgetError before anything is
+    allocated.
+
+    meta holds dt (the trimmed step), n_steps (RK4 steps), n_renorm
+    (trace renormalizations), max_trace_drift (the largest |trace - 1|
+    before renormalization), and the worst validation margins over the
+    samples: max_hermiticity_error and min_eigenvalue.
     """
     rho0, n_steps = _check_run_args(m, rho0, t_end, dt, sample_every)
-    dt_eff = t_end / n_steps
+    dt = t_end / n_steps
     l1 = u = None
     if m.drive is not None:
         l1, u = real_superop(commutator_superop(m.drive.h1)), m.drive.u
     sample_idx = sample_indices(n_steps, sample_every)
     samples, n_renorm, max_drift = rk4_superop(
-        real_superop(liouvillian(m)), herm_to_vec(rho0), dt_eff, n_steps, sample_idx,
-        TRACE_DRIFT_TOL, l1=l1, u=u,
+        real_superop(liouvillian(m)), herm_to_vec(rho0), dt, sample_idx, TRACE_DRIFT_TOL, l1=l1, u=u
     )
-    return _finalize(m, samples, sample_idx, dt_eff, n_steps, sample_every, n_renorm, max_drift)
+    states = vec_to_herm(samples, m.dim)
+    times = sample_idx * dt
+    max_herm = 0.0
+    min_eig = math.inf
+    for step, t, rho in zip(sample_idx, times, states):
+        report = validate_density(
+            rho, tol_trace=SAMPLE_TRACE_TOL, tol_pos=SAMPLE_POS_TOL, tol_herm=SAMPLE_HERM_TOL
+        )
+        if not report.ok:
+            raise IntegrationError(f"state invariant breach at step {step}, t={t:.6g} ({m.label}): {report}")
+        max_herm = max(max_herm, report.herm_deviation)
+        min_eig = min(min_eig, report.min_eigenvalue)
+    weight = np.zeros((m.dim, m.dim), dtype=np.complex128)
+    for rate, q in m.jumps:
+        weight += rate * (q.conj().T @ q)
+    outputs = np.einsum("ij,nji->n", weight, states).real
+    outputs[(outputs < 0.0) & (outputs >= -1e-12)] = 0.0
+    meta = {
+        "dt": dt,
+        "n_steps": n_steps,
+        "n_renorm": n_renorm,
+        "max_trace_drift": float(max_drift),
+        "max_hermiticity_error": max_herm,
+        "min_eigenvalue": min_eig,
+    }
+    return Trajectory(times=times, states=states, outputs=outputs, meta=meta)
 
 
 class CompareResult(NamedTuple):
@@ -278,10 +266,12 @@ class SweepResult:
 # kept out of the slope fit.
 EPSILON_FIT_MAX = 0.25
 
+# Each sweep run records about this many samples.
+SWEEP_SAMPLES = 2000
+
 
 def epsilon_sweep(p_base: LambdaParams, scale_factors, t_end_slow: float,
-                  dt_policy: float | None = None, sample_target: int = 2000,
-                  eps_fit_max: float = EPSILON_FIT_MAX) -> SweepResult:
+                  dt_policy: float | None = None) -> SweepResult:
     """Scale the decay rates up and measure how fast the reduction error shrinks.
 
     For each factor s the rates become s*Gamma_k, making the time-scale
@@ -290,7 +280,8 @@ def epsilon_sweep(p_base: LambdaParams, scale_factors, t_end_slow: float,
     time.  dt_policy is the step at s = 1, divided by s for each factor;
     None takes the shared auto step of the full and slow models.  Fits log(sup
     distance) against log(epsilon) over the points inside the asymptotic
-    regime epsilon <= eps_fit_max (all points if fewer than 3 qualify).
+    regime epsilon <= EPSILON_FIT_MAX (all points if fewer than 3
+    qualify).  Each run records about SWEEP_SAMPLES samples.
     """
     factors = [float(s) for s in scale_factors]
     if len(factors) < 4:
@@ -318,7 +309,7 @@ def epsilon_sweep(p_base: LambdaParams, scale_factors, t_end_slow: float,
             dt = _shared_auto_dt(t_end, m_full, m_slow)
         else:
             dt = float(dt_policy) / s
-        sample_every = max(1, _step_count(m_full, t_end, dt) // sample_target)
+        sample_every = max(1, _step_count(m_full, t_end, dt) // SWEEP_SAMPLES)
         try:
             result = compare_full_vs_slow(m_full, m_slow, rho0, t_end, dt, sample_every)
         except (IntegrationError, ValueError) as exc:
@@ -338,7 +329,7 @@ def epsilon_sweep(p_base: LambdaParams, scale_factors, t_end_slow: float,
     eps_arr = np.asarray(eps_list)
     sup_arr = np.asarray(sup_list)
     slope_all, residual_all = fit_loglog_slope(eps_arr, sup_arr)
-    in_regime = eps_arr <= eps_fit_max
+    in_regime = eps_arr <= EPSILON_FIT_MAX
     if in_regime.sum() >= 3:
         slope, residual = fit_loglog_slope(eps_arr[in_regime], sup_arr[in_regime])
         n_fitted = int(in_regime.sum())
@@ -368,7 +359,9 @@ def equilibrium_check(rm: ReducedModel, rho_s: np.ndarray) -> float:
     if rho_s.shape[0] != rm.n_ground:
         raise ValueError(f"rho_s is {rho_s.shape[0]}-dim, model has {rm.n_ground} ground states")
     lmat = real_superop(liouvillian(as_lindblad(rm)))
-    return frobenius_norm(vec_to_herm(lmat @ herm_to_vec(rho_s), rm.n_ground))
+    # a norm past the float range reads inf, which fails any bound
+    with np.errstate(over="ignore"):
+        return frobenius_norm(vec_to_herm(lmat @ herm_to_vec(rho_s), rm.n_ground))
 
 
 class RwaResult(NamedTuple):
@@ -392,7 +385,7 @@ def rwa_comparison(p3: ThreeScaleParams, t_end: float, dt: float | None = None,
     rho0 = embed_ground(np.eye(n, dtype=np.complex128) / n)
     traj_driven = integrate(m_driven, rho0, t_end, dt, sample_every)
     traj_rwa = integrate(m_rwa, rho0, t_end, dt, sample_every)
-    diff = float(np.max(np.abs(traj_driven.excited_population - traj_rwa.excited_population)))
+    diff = float(np.max(np.abs(traj_driven.populations()[:, 0] - traj_rwa.populations()[:, 0])))
     return RwaResult(driven=traj_driven, rwa=traj_rwa, max_pop_diff=diff)
 
 

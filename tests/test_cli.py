@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cptsim.cli import (
     run,
 )
 from cptsim.models import LambdaParams, ThreeScaleParams
+from cptsim.reduction import bright_dark_states
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -45,7 +47,7 @@ def doc(**overrides):
 
 def test_parse_defaults():
     config = parse_config(doc())
-    assert config.dt == "auto"
+    assert config.dt is None
     assert config.sample_every == 10
     assert config.initial_state == "uniform_ground"
     assert config.t_end_units == "absolute"
@@ -326,14 +328,67 @@ def test_main_rejects_non_finite_model_values(tmp_path, capsys):
         assert "error: model." in capsys.readouterr().err
 
 
+OVERFLOW_RUNS = [
+    ("reduce", {"gamma": [1e300, 6.0]}, {}),
+    # 4 (sum Gamma)^2 overflows in every experiment that reduces the model
+    *[(e, {"gamma": [4.6e307, 6.0]}, {}) for e in ("reduce", "compare", "simulate-slow", "dark-state-check")],
+    # the slow generator's norm at the dark state overflows
+    ("dark-state-check", {"detuning": [1e200, -0.2]}, {"dt": 1e-4, "t_end": 1e-2}),
+]
+
+
 def test_main_maps_overflow_to_exit_3(tmp_path, capsys):
+    # a numpy overflow warning would print ahead of the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for i, (experiment, model, run_values) in enumerate(OVERFLOW_RUNS):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(
+                doc(model={**LAMBDA_DOC["model"], **model}, experiment=experiment,
+                    output_path=str(tmp_path / "out"), **run_values)
+            )
+            assert main([experiment, "--config", str(cfg)]) == 3, (experiment, model)
+            err = capsys.readouterr().err
+            assert err.startswith("error: computation failed:")
+            assert len(err.strip().splitlines()) == 1
+            if "gamma" in model:
+                assert "decay rates too large" in err
+
+
+def _first_csv_row(path) -> list[float]:
+    with open(path) as fh:
+        fh.readline()
+        return [float(x) for x in fh.readline().split(",")]
+
+
+@pytest.mark.filterwarnings("ignore:time-scale separation weak:RuntimeWarning")
+@pytest.mark.parametrize(
+    "model, rabi",
+    [
+        (LAMBDA_DOC["model"], LAMBDA_PARAMS.rabi),
+        # Omega_k = mu_k u_k: u alone would put 0.42, not 0.155, on the first bright population
+        ({**THREE_SCALE_MODEL, "mu": [1.0, 2.0], "u_im": [0.0, 0.3]}, (0.5, 2.0 * (0.5 + 0.3j))),
+    ],
+    ids=["lambda", "three_scale"],
+)
+def test_bright_and_dark_starts_follow_the_rabi_amplitudes(tmp_path, model, rabi):
+    bright, darks = bright_dark_states(rabi)
+    for state, vec in (("bright", bright), ("dark", darks[0])):
+        cfg = tmp_path / f"{state}.json"
+        cfg.write_text(doc(model=model, experiment="simulate-full", initial_state=state, t_end=1e-3))
+        assert main(["simulate-full", "--config", str(cfg), "--out", str(tmp_path / state)]) == 0
+        row = _first_csv_row(tmp_path / state / "simulate-full.csv")
+        np.testing.assert_allclose(row[2:], [0.0, *np.abs(vec) ** 2], rtol=0.0, atol=1e-14)
+
+
+def test_simulate_slow_from_excited_starts_at_the_branching_ratios(tmp_path):
     cfg = tmp_path / "cfg.json"
-    model = {**LAMBDA_DOC["model"], "gamma": [1e300, 6.0]}
-    cfg.write_text(doc(model=model, experiment="reduce", output_path=str(tmp_path / "out")))
-    assert main(["reduce", "--config", str(cfg)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: computation failed:")
-    assert len(err.strip().splitlines()) == 1
+    cfg.write_text(doc(experiment="simulate-slow", initial_state="excited", t_end=1e-3))
+    assert main(["simulate-slow", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    gamma = LAMBDA_DOC["model"]["gamma"]
+    expected = [0.0] + [g / sum(gamma) for g in gamma]
+    row = _first_csv_row(tmp_path / "out" / "simulate-slow.csv")
+    np.testing.assert_allclose(row[2:], expected, rtol=0.0, atol=1e-15)
 
 
 def test_main_three_scale_simulate_full(tmp_path):

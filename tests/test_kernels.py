@@ -59,9 +59,8 @@ def test_sample_indices_include_endpoints():
 def test_rk4_superop_requires_samples_from_start_to_end():
     lmat = -np.eye(4)
     v0 = herm_to_vec(np.eye(2) / 2)
-    for idx in ([1, 5, 10], [0, 5], [0, 5, 10, 12]):
-        with pytest.raises(ValueError, match="sample_idx"):
-            rk4_superop(lmat, v0, 0.01, 10, np.array(idx), 1e-12)
+    with pytest.raises(ValueError, match="sample_idx"):
+        rk4_superop(lmat, v0, 0.01, np.array([1, 5, 10]), 1e-12)
 
 
 def test_rk4_decay_kernel_matches_exponential():
@@ -71,7 +70,7 @@ def test_rk4_decay_kernel_matches_exponential():
     lmat = -a * np.eye(d * d)
     v0 = herm_to_vec(np.eye(d) / d)
     # disable renormalization so the raw scheme is visible
-    samples, n_renorm, drift = rk4_superop(lmat, v0, 0.01, 100, sample_indices(100, 100), np.inf)
+    samples, n_renorm, drift = rk4_superop(lmat, v0, 0.01, sample_indices(100, 100), np.inf)
     expected = v0 * np.exp(-a * 1.0)
     np.testing.assert_allclose(samples[-1], expected, atol=1e-9)
     assert n_renorm == 0
@@ -82,7 +81,7 @@ def test_rk4_renormalization_counter():
     d = 2
     lmat = -0.5 * np.eye(d * d)
     v0 = herm_to_vec(np.eye(d) / d)
-    samples, n_renorm, drift = rk4_superop(lmat, v0, 0.01, 50, sample_indices(50, 10), 1e-12)
+    samples, n_renorm, drift = rk4_superop(lmat, v0, 0.01, sample_indices(50, 10), 1e-12)
     assert n_renorm > 0
     traces = samples[:, :d].sum(axis=1)
     np.testing.assert_allclose(traces, 1.0, atol=1e-12)
@@ -217,7 +216,7 @@ def test_driven_loop_matches_reference_loop(model_and_state, n_steps, sample_eve
     l1 = commutator_superop(m.drive.h1)
     amps = np.asarray(m.drive.amplitudes, dtype=np.complex128)
     got = rk4_superop(
-        real_superop(l0), herm_to_vec(rho0), dt, n_steps, idx, TRACE_DRIFT_TOL,
+        real_superop(l0), herm_to_vec(rho0), dt, idx, TRACE_DRIFT_TOL,
         l1=real_superop(l1), u=m.drive.u,
     )
     want = reference_driven(
@@ -255,7 +254,7 @@ def test_static_propagator_matches_reference_loop(p, seed, n_steps, sample_every
     v0 = herm_to_vec(random_density(dim, np.random.default_rng(seed)))
     idx = sample_indices(n_steps, sample_every)
     l0 = liouvillian(m)
-    got, _, _ = rk4_superop(real_superop(l0), v0, dt, n_steps, idx, TRACE_DRIFT_TOL)
+    got, _, _ = rk4_superop(real_superop(l0), v0, dt, idx, TRACE_DRIFT_TOL)
     want, _, _ = reference_static(
         l0, vec_to_herm(v0, dim).ravel(), dt, n_steps, idx, transpose_indices(dim),
         diag_indices_vec(dim), TRACE_DRIFT_TOL,
@@ -316,8 +315,8 @@ def test_non_finite_state_is_recorded_as_nan_drift():
     lmat = np.full((d * d, d * d), np.nan)
     v0 = herm_to_vec(np.eye(d) / d)
     idx = sample_indices(10, 5)
-    static = rk4_superop(lmat, v0, 0.01, 10, idx, 1e-12)
-    driven = rk4_superop(lmat, v0, 0.01, 10, idx, 1e-12, l1=np.zeros_like(lmat), u=lambda t: 0.0 * t)
+    static = rk4_superop(lmat, v0, 0.01, idx, 1e-12)
+    driven = rk4_superop(lmat, v0, 0.01, idx, 1e-12, l1=np.zeros_like(lmat), u=lambda t: 0.0 * t)
     for samples, n_renorm, drift in (static, driven):
         assert np.isnan(drift)
         assert n_renorm == 0
