@@ -38,7 +38,8 @@ def _check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     a = as_complex(a)
-    return 0.5 * (a + a.conj().T)
+    # halving first keeps entries above half the float range finite
+    return 0.5 * a + 0.5 * a.conj().T
 
 
 def hermiticity_error(a: np.ndarray) -> float:

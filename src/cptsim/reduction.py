@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _check_square, herm_to_vec, real_superop, vec_to_herm
-from .models import LindbladModel, commutator_superop
+from .models import LambdaParams, LindbladModel, commutator_superop, effective_hamiltonian
 from .tikhonov import TikhonovSystem
 
 
@@ -125,32 +125,6 @@ class ReducedModel:
     total_gamma: float
 
 
-def _lambda_jump_structure(m: LindbladModel) -> np.ndarray:
-    """Check the jumps are |g_k><e| with each ground state hit exactly once.
-
-    Returns the rates ordered by ground index.
-    """
-    dim = m.dim
-    n = dim - 1
-    rates = np.zeros(n)
-    seen = np.zeros(n, dtype=bool)
-    for rate, q in m.jumps:
-        nz = np.argwhere(np.abs(q) > 0.0)
-        if nz.shape[0] != 1:
-            raise ValueError("jump operator is not a single matrix unit |g_k><e|")
-        row, col = nz[0]
-        if col != 0 or row == 0 or abs(q[row, col] - 1.0) > 1e-14:
-            raise ValueError("jump operator is not a unit-amplitude decay from the excited state")
-        k = row - 1
-        if seen[k]:
-            raise ValueError(f"ground state {k + 1} appears in two jump operators")
-        seen[k] = True
-        rates[k] = rate
-    if not seen.all():
-        raise ValueError("every ground state needs a decay channel")
-    return rates
-
-
 def bright_dark_states(rabi) -> tuple[np.ndarray, list[np.ndarray]]:
     """Bright state driven by the laser and an orthonormal dark basis.
 
@@ -190,44 +164,49 @@ def bright_dark_states(rabi) -> tuple[np.ndarray, list[np.ndarray]]:
     return bright, dark
 
 
-def reduce_model(m: LindbladModel) -> ReducedModel:
-    """Adiabatic elimination of the excited state.
-
-    H_s = (1-P) H (1-P) restricted to the ground block; the slow jump
-    operators are Q_k H (1-P) / Gamma at rates 4*Gamma_k.  Applies to
-    any Hermitian H; for the standard Lambda Hamiltonian these evaluate
-    to diag(delta) and rank-one projectors onto the bright state.
-    """
-    rates = _lambda_jump_structure(m)
-    n = m.dim - 1
-    h = m.hamiltonian
-    # the slow rates are 4 Gamma_k and gamma_slow divides by (sum Gamma)^2;
+def _total_gamma(gamma) -> float:
+    """sum(Gamma), refused when 4*(sum Gamma)^2, the slow rates' scale, overflows."""
     # Python floats overflow to inf without a warning
-    total = sum(rates.tolist())
+    total = sum(gamma)
     if not math.isfinite(4.0 * total * total):
         raise ValueError(f"decay rates too large: 4*(sum Gamma)^2 overflows at sum Gamma = {total:.3e}")
-    total = float(rates.sum())
-    h_s = h[1:, 1:].copy()
-    # row 0 of H on the ground columns; conj gives the Rabi vector Omega
-    coupling_row = h[0, 1:].copy()
-    omega = coupling_row.conj()
+    return float(np.asarray(gamma).sum())
+
+
+def reduce_model(p: LambdaParams) -> ReducedModel:
+    """Adiabatic elimination of the excited state of a Lambda model.
+
+    Reads delta, Omega and Gamma from p: H_s = diag(delta) on the ground
+    block, and the slow jump operators Q_k = |g_k> conj(Omega)^T / sum(Gamma),
+    rank-one maps of the bright state onto |g_k>, at rates 4*Gamma_k.
+    ValueError when (sum Gamma)^2 underflows, or 4*(sum Gamma)^2 or a slow
+    rate gamma_slow[k] overflows.
+    """
+    n = p.n_ground
+    total = _total_gamma(p.gamma)
+    # gamma_slow divides by (sum Gamma)^2, in Python floats as in _total_gamma
+    scale = total**2
+    if scale == 0.0:
+        raise ValueError(f"decay rates too small: (sum Gamma)^2 underflows at sum Gamma = {total:.3e}")
+    omega = np.asarray(p.rabi, dtype=np.complex128)
     power = float(np.vdot(omega, omega).real)
     jumps = []
-    for k in range(n):
+    gamma_slow = []
+    for k, g in enumerate(p.gamma):
         q_s = np.zeros((n, n), dtype=np.complex128)
-        q_s[k, :] = coupling_row / total
-        jumps.append((4.0 * rates[k], q_s))
-    gamma_slow = tuple(float(4.0 * rates[k] * power / total**2) for k in range(n))
-    if power > 0.0:
-        bright, _ = bright_dark_states(omega)
-    else:
-        bright = np.zeros(n, dtype=np.complex128)
+        q_s[k, :] = omega.conj() / total
+        jumps.append((4.0 * g, q_s))
+        rate = 4.0 * g * power / scale
+        if not math.isfinite(rate):
+            raise ValueError(f"slow rate gamma_slow[{k}] = 4*Gamma_k*sum|Omega|^2/(sum Gamma)^2 overflows")
+        gamma_slow.append(rate)
+    bright = bright_dark_states(omega)[0] if power > 0.0 else np.zeros(n, dtype=np.complex128)
     return ReducedModel(
         n_ground=n,
-        hamiltonian_slow=h_s,
+        hamiltonian_slow=np.diag(np.asarray(p.detuning, dtype=np.complex128)),
         jumps_slow=tuple(jumps),
         bright_state=bright,
-        gamma_slow=gamma_slow,
+        gamma_slow=tuple(gamma_slow),
         total_gamma=total,
     )
 
@@ -265,28 +244,29 @@ def slow_output(rm: ReducedModel, rho_s: np.ndarray) -> float:
     return float(bright_form)
 
 
-def standard_form(m: LindbladModel) -> TikhonovSystem:
-    """Recast the Lambda master equation as an explicit two-time-scale system.
+def standard_form(p: LambdaParams) -> TikhonovSystem:
+    """Recast the Lambda master equation of p as an explicit two-time-scale system.
 
     Slow variable x = vec(rho_s), fast variable y = vec(rho_f), both as
     real herm_to_vec vectors over Hermitian matrices of the full
     dimension.  The fast relaxation X -> (X + P X P)/2 enters through the
     matrix A with epsilon = 1/sum(Gamma).  The Hamiltonian part -i[H, rho]
     supplies the coupling matrix C = S L M: L is
-    real_superop(commutator_superop(H)), and S and M are the real
-    matrices of split_slow_fast and merge, read off column by column.
+    real_superop(commutator_superop(H)) with H = effective_hamiltonian(p),
+    and S and M are the real matrices of split_slow_fast and merge, read
+    off column by column.  Refuses the decay rates reduce_model refuses.
     """
-    rates = _lambda_jump_structure(m)
-    dim = m.dim
+    total = _total_gamma(p.gamma)
+    dim = p.n_ground + 1
     nvec = dim * dim
 
     def split(v: np.ndarray) -> np.ndarray:
-        parts = split_slow_fast(vec_to_herm(v, dim), rates)
+        parts = split_slow_fast(vec_to_herm(v, dim), p.gamma)
         return np.concatenate([herm_to_vec(parts.rho_s), herm_to_vec(parts.rho_f)])
 
     def merged(z: np.ndarray) -> np.ndarray:
         parts = SlowFastSplit(rho_f=vec_to_herm(z[nvec:], dim), rho_s=vec_to_herm(z[:nvec], dim))
-        return herm_to_vec(merge(parts, rates))
+        return herm_to_vec(merge(parts, p.gamma))
 
     # split and merge are linear: their matrices, applied to the basis vectors
     s = np.column_stack([split(e) for e in np.eye(nvec)])
@@ -296,6 +276,6 @@ def standard_form(m: LindbladModel) -> TikhonovSystem:
     a[0, 0] = 1.0
     return TikhonovSystem(
         a=a,
-        c=s @ real_superop(commutator_superop(m.hamiltonian)) @ mm,
-        epsilon=1.0 / float(rates.sum()),
+        c=s @ real_superop(commutator_superop(effective_hamiltonian(p))) @ mm,
+        epsilon=1.0 / total,
     )

@@ -91,8 +91,13 @@ def generator_norm_bound(m: LindbladModel) -> float:
 
 
 def dt_max(m: LindbladModel) -> float:
-    """Largest step admitted by the stability policy dt <= 0.05/L."""
+    """Largest step admitted by the stability policy dt <= 0.05/L.
+
+    ValueError when L is not finite: against a NaN bound every step passes.
+    """
     bound = generator_norm_bound(m)
+    if not math.isfinite(bound):
+        raise ValueError(f"generator norm bound {bound} is not finite; the model exceeds the float range")
     if bound <= 0.0:
         return math.inf
     dt = 0.05 / bound
@@ -304,7 +309,7 @@ def epsilon_sweep(p_base: LambdaParams, scale_factors, t_end_slow: float,
         )
         t_end = t_end_slow * s
         m_full = build_two_scale(p_s)
-        m_slow = as_lindblad(reduce_model(m_full))
+        m_slow = as_lindblad(reduce_model(p_s))
         if dt_policy is None:
             dt = _shared_auto_dt(t_end, m_full, m_slow)
         else:

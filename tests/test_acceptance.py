@@ -57,7 +57,7 @@ def four_level_compare():
     t_end = 2.5 * slow_timescale(FOUR_LEVEL)
     rho0 = np.eye(4, dtype=np.complex128) / 4
     m_full = build_two_scale(FOUR_LEVEL)
-    return compare_full_vs_slow(m_full, as_lindblad(reduce_model(m_full)), rho0, t_end, dt=1e-3)
+    return compare_full_vs_slow(m_full, as_lindblad(reduce_model(FOUR_LEVEL)), rho0, t_end, dt=1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def test_a1_four_level_comparison(acceptance, four_level_compare):
     y_full = r.full.outputs
     y_slow = r.slow.outputs
     start_ok = y_full[0] == 0.0
-    expected_y0 = sum(reduce_model(build_two_scale(FOUR_LEVEL)).gamma_slow) / 4
+    expected_y0 = sum(reduce_model(FOUR_LEVEL).gamma_slow) / 4
     slow_start_ok = abs(y_slow[0] - expected_y0) <= 1e-12
     transient = y_full[t <= 0.25]
     rises_ok = transient[-1] > 0.02 and transient[-1] > 5.0 * transient[1]
@@ -106,7 +106,7 @@ def test_a2_error_scaling_exponent(acceptance):
 
 
 def test_a3_dark_state_equilibrium(acceptance, dark_full_run):
-    rm = reduce_model(build_two_scale(DARK_PARAMS))
+    rm = reduce_model(DARK_PARAMS)
     _, darks = bright_dark_states(DARK_PARAMS.rabi)
     rho_dark = np.outer(darks[0], darks[0].conj())
     gen_norm = equilibrium_check(rm, rho_dark)
@@ -115,7 +115,7 @@ def test_a3_dark_state_equilibrium(acceptance, dark_full_run):
     complex_params = LambdaParams(
         detuning=(0.0, 0.0), rabi=(0.8, 0.6j), gamma=(3.0, 7.0)
     )
-    rm_c = reduce_model(build_two_scale(complex_params))
+    rm_c = reduce_model(complex_params)
     _, darks_c = bright_dark_states(complex_params.rabi)
     y_dark_c = slow_output(rm_c, np.outer(darks_c[0], darks_c[0].conj()))
 
@@ -143,7 +143,7 @@ def test_a4_reduction_closed_forms(acceptance):
         rabi = tuple(rng.normal(size=n) + 1j * rng.normal(size=n))
         gamma = tuple(rng.uniform(0.5, 10.0, n))
         p = LambdaParams(detuning=detuning, rabi=rabi, gamma=gamma)
-        rm = reduce_model(build_two_scale(p))
+        rm = reduce_model(p)
         total = p.total_gamma
         power = p.rabi_power
 
@@ -246,7 +246,7 @@ def test_a6_manifold_expansion_orders(acceptance):
 
     rng = np.random.default_rng(7)
     m = build_two_scale(FOUR_LEVEL)
-    system = standard_form(m)
+    system = standard_form(FOUR_LEVEL)
     worst = 0.0
     for _ in range(20):
         rho_s = embed_ground(random_density(4, rng))
@@ -311,7 +311,7 @@ def test_a11_dark_subspace_is_decoherence_free(acceptance):
     for name, detuning in (("resonant", (0.7,) * 4), ("detuned", FOUR_LEVEL.detuning)):
         p = LambdaParams(detuning=detuning, rabi=rabi, gamma=FOUR_LEVEL.gamma)
         m = build_two_scale(p)
-        rm = reduce_model(m)
+        rm = reduce_model(p)
         worst_norm = max(equilibrium_check(rm, rho) for rho in states)
         t_end = 5.0 * slow_timescale(p)
         traj = integrate(m, embed_ground(states[0]), t_end, auto_dt(m, t_end))

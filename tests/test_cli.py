@@ -328,12 +328,35 @@ def test_main_rejects_non_finite_model_values(tmp_path, capsys):
         assert "error: model." in capsys.readouterr().err
 
 
+def _lambda(**fields):
+    return {**LAMBDA_DOC["model"], **fields}
+
+
+# entries past half the float range, where 0.5 * (a + a^H) overflows
+THREE_SCALE_SPLIT = {**THREE_SCALE_MODEL, "lambda_g": [0.0, 100.0]}
+HUGE_LAMBDA_E = {**THREE_SCALE_SPLIT, "lambda_e": 8.98846567431158e307}
+HUGE_DETUNING = _lambda(detuning=[1e308, -0.2])
+SMALL_STEP = {"dt": 1e-4, "t_end": 1e-2}
+
 OVERFLOW_RUNS = [
-    ("reduce", {"gamma": [1e300, 6.0]}, {}),
+    ("reduce", _lambda(gamma=[1e300, 6.0]), {}, "decay rates too large"),
     # 4 (sum Gamma)^2 overflows in every experiment that reduces the model
-    *[(e, {"gamma": [4.6e307, 6.0]}, {}) for e in ("reduce", "compare", "simulate-slow", "dark-state-check")],
+    *[(e, _lambda(gamma=[4.6e307, 6.0]), {}, "decay rates too large")
+      for e in ("reduce", "compare", "simulate-slow", "dark-state-check")],
+    # sum Gamma overflows, also in the split of the initial state and in the standard form
+    *[(e, _lambda(gamma=[1e308, 1e308]), {}, "decay rates too large") for e in ("compare", "verify-appendix")],
+    # (sum Gamma)^2 underflows to 0, and the slow rates divide by it
+    ("reduce", _lambda(gamma=[1e-200, 1e-200]), {}, "decay rates too small"),
+    # 4 (sum Gamma)^2 is finite but 4 Gamma_k sum|Omega_k|^2 is not
+    ("reduce", _lambda(gamma=[1e100, 6.0], rabi_re=[1e150, 0.8]), {}, "slow rate gamma_slow[0]"),
     # the slow generator's norm at the dark state overflows
-    ("dark-state-check", {"detuning": [1e200, -0.2]}, {"dt": 1e-4, "t_end": 1e-2}),
+    ("dark-state-check", _lambda(detuning=[1e200, -0.2]), SMALL_STEP, "exceeds the stability policy"),
+    # the step bound is finite, so the step is refused by the stability policy
+    ("simulate-full", HUGE_LAMBDA_E, SMALL_STEP, "exceeds the stability policy"),
+    *[(e, HUGE_DETUNING, SMALL_STEP, "exceeds the stability policy") for e in ("simulate-full", "simulate-slow")],
+    # an infinite drive peak times a zero coupling leaves a NaN step bound
+    ("simulate-full", {**THREE_SCALE_SPLIT, "mu": [0.0, 0.0], "u_re": [1e308, 1e308]}, SMALL_STEP,
+     "generator norm bound nan is not finite"),
 ]
 
 
@@ -341,18 +364,16 @@ def test_main_maps_overflow_to_exit_3(tmp_path, capsys):
     # a numpy overflow warning would print ahead of the error line
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for i, (experiment, model, run_values) in enumerate(OVERFLOW_RUNS):
+        for i, (experiment, model, run_values, message) in enumerate(OVERFLOW_RUNS):
             cfg = tmp_path / f"cfg{i}.json"
             cfg.write_text(
-                doc(model={**LAMBDA_DOC["model"], **model}, experiment=experiment,
-                    output_path=str(tmp_path / "out"), **run_values)
+                doc(model=model, experiment=experiment, output_path=str(tmp_path / "out"), **run_values)
             )
             assert main([experiment, "--config", str(cfg)]) == 3, (experiment, model)
             err = capsys.readouterr().err
             assert err.startswith("error: computation failed:")
             assert len(err.strip().splitlines()) == 1
-            if "gamma" in model:
-                assert "decay rates too large" in err
+            assert message in err
 
 
 def _first_csv_row(path) -> list[float]:
@@ -515,18 +536,28 @@ def extreme_runs(draw):
     return experiment, document
 
 
-def _extreme_drive(experiment, u, dt):
-    model = {**THREE_SCALE_MODEL, "u_re": [u, u]}
+def _extreme_run(experiment, model, dt=1e-4):
     document = {"model": model, "t_end": 100 * dt, "dt": dt, "sample_every": 10, "experiment": experiment}
     return experiment, document
 
 
+def _extreme_drive(experiment, u, dt):
+    return _extreme_run(experiment, {**THREE_SCALE_MODEL, "u_re": [u, u]}, dt)
+
+
 @pytest.mark.filterwarnings("ignore:time-scale separation weak:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(deadline=None, max_examples=150)
 @given(extreme_runs())
 # drives that clear the Rabi power check, at steps that clear dt_max: the chunked driven kernel
 @example(_extreme_drive("simulate-full", 1e150, 1e-300))
 @example(_extreme_drive("rwa-check", -1e120, 1e-200))
+# numpy overflow warnings, and a NaN step bound that passed the stability policy
+@example(_extreme_run("reduce", _lambda(gamma=[1e100, 6.0], rabi_re=[1e150, 0.8])))
+@example(_extreme_run("compare", _lambda(gamma=[1e308, 1e308])))
+@example(_extreme_run("reduce", _lambda(gamma=[1e-200, 1e-200])))
+@example(_extreme_run("simulate-full", HUGE_LAMBDA_E))
+@example(_extreme_run("simulate-slow", HUGE_DETUNING))
 def test_main_exits_cleanly_on_extreme_finite_values(run):
     experiment, document = run
     with tempfile.TemporaryDirectory() as tmp:

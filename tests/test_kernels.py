@@ -269,9 +269,11 @@ def test_rk4_increment_preserves_trace_and_hermiticity(p, dt_frac):
     dim = m.dim
     l0 = liouvillian(m)
     dt = dt_frac * dt_max(m)
-    a = dt * l0
+    # the reference power runs in extended precision: a float64 P^4000 drifts
+    # by ~1e-12 from the exact power on its own, while Q_k stays near 1e-15
+    a = dt * l0.astype(np.clongdouble)
     eye = np.eye(dim * dim)
-    step = eye + a + a @ a / 2.0 + a @ a @ a / 6.0 + a @ a @ a @ a / 24.0
+    step = np.eye(dim * dim, dtype=np.clongdouble) + a + a @ a / 2 + a @ a @ a / 6 + a @ a @ a @ a / 24
     transposed = transpose_indices(dim)
     for k in (1, 2, 7, 48, 4000):
         q = rk4_increment(l0, dt, k)
@@ -279,7 +281,8 @@ def test_rk4_increment_preserves_trace_and_hermiticity(p, dt_frac):
         np.testing.assert_allclose(q[diag_indices_vec(dim)].sum(axis=0), 0.0, atol=1e-12)
         # Q_k vec(rho^dag) = (Q_k vec(rho))^dag
         np.testing.assert_allclose(q[np.ix_(transposed, transposed)], q.conj(), rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(eye + q, np.linalg.matrix_power(step, k), rtol=0.0, atol=1e-12)
+        want = np.linalg.matrix_power(step, k).astype(np.complex128)
+        np.testing.assert_allclose(eye + q, want, rtol=0.0, atol=1e-12)
 
 
 def test_driven_run_memory_is_bounded_by_the_chunk():

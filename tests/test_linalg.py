@@ -46,6 +46,12 @@ def test_hermitian_part():
     assert hermiticity_error(h) < 1e-15
 
 
+def test_hermitian_part_stays_finite_past_half_the_float_range():
+    # a + a^dag overflows here; halving first does not
+    a = np.array([[1.5e308, 1e308j], [-1e308j, -1.5e308]])
+    np.testing.assert_array_equal(hermitian_part(a), a)
+
+
 def test_validate_density_accepts_valid_states():
     rng = np.random.default_rng(3)
     for dim in (2, 3, 5, 8):

@@ -94,7 +94,7 @@ def test_rho_f_first_order_rejects_excited_support():
 
 
 def test_reduce_model_closed_forms():
-    rm = reduce_model(build_two_scale(FOUR_LEVEL))
+    rm = reduce_model(FOUR_LEVEL)
     assert rm.n_ground == 4
     np.testing.assert_allclose(rm.hamiltonian_slow, np.diag([0.5, 1.2, 0.7, 1.0]))
     total = 21.0
@@ -113,7 +113,7 @@ def test_reduce_model_closed_forms():
 
 def test_effective_projector_is_branch_independent():
     # every collapse channel sees the same Q^dagger Q
-    rm = reduce_model(build_two_scale(FOUR_LEVEL))
+    rm = reduce_model(FOUR_LEVEL)
     mats = [q.conj().T @ q for _, q in rm.jumps_slow]
     for m2 in mats[1:]:
         assert np.abs(m2 - mats[0]).max() == 0.0
@@ -151,7 +151,7 @@ def test_single_ground_level_has_no_dark_states():
 
 def test_slow_output_forms_agree_and_dark_state_is_exactly_zero():
     p = LambdaParams(detuning=(0.0, 0.0), rabi=(1.0, 1.0), gamma=(5.0, 5.0))
-    rm = reduce_model(build_two_scale(p))
+    rm = reduce_model(p)
     _, darks = bright_dark_states(p.rabi)
     d = darks[0]
     assert slow_output(rm, np.outer(d, d.conj())) == 0.0
@@ -161,14 +161,14 @@ def test_slow_output_forms_agree_and_dark_state_is_exactly_zero():
 
 
 def test_slow_output_mixed_state():
-    rm = reduce_model(build_two_scale(FOUR_LEVEL))
+    rm = reduce_model(FOUR_LEVEL)
     y = slow_output(rm, np.eye(4, dtype=np.complex128) / 4)
     assert y == pytest.approx(sum(rm.gamma_slow) / 4, rel=1e-12)
 
 
 def test_as_lindblad_generator_preserves_trace():
     rng = np.random.default_rng(14)
-    rm = reduce_model(build_two_scale(FOUR_LEVEL))
+    rm = reduce_model(FOUR_LEVEL)
     m = as_lindblad(rm)
     rho = random_density(4, rng)
     drho = generator_apply(m, rho)
@@ -178,12 +178,12 @@ def test_as_lindblad_generator_preserves_trace():
 
 def test_slow_timescale_of_reduced_model():
     # T_s = Gamma / sum|Omega|^2 is also 4 / sum(gamma_slow) of the reduction
-    rm = reduce_model(build_two_scale(FOUR_LEVEL))
+    rm = reduce_model(FOUR_LEVEL)
     assert slow_timescale(FOUR_LEVEL) == pytest.approx(4.0 / sum(rm.gamma_slow), rel=1e-13)
 
 
 def test_standard_form_fast_map_spectrum():
-    system = standard_form(build_two_scale(FOUR_LEVEL))
+    system = standard_form(FOUR_LEVEL)
     eigs = np.sort(np.linalg.eigvals(system.a).real)
     # the fast relaxation map has eigenvalues 1/2 and 1 only
     assert set(np.round(eigs, 12)) == {0.5, 1.0}
@@ -217,7 +217,7 @@ def test_standard_form_manifold_matches_closed_form(p, seed):
     """
     rng = np.random.default_rng(seed)
     m = build_two_scale(p)
-    system = standard_form(m)
+    system = standard_form(p)
     dim = m.dim
     nvec = dim * dim
 

@@ -7,6 +7,7 @@ from cptsim.models import (
     LambdaParams,
     LindbladModel,
     ThreeScaleParams,
+    build_three_scale,
     build_two_scale,
 )
 from cptsim.reduction import as_lindblad, bright_dark_states, reduce_model
@@ -45,6 +46,30 @@ def test_dt_policy_positive_and_enforced():
     assert auto_dt(m, t_end=1.0) <= limit
     with pytest.raises(ValueError):
         integrate(m, embedded_uniform(2), t_end=1.0, dt=10.0 * limit)
+
+
+def test_dt_max_refuses_a_non_finite_bound():
+    # an infinite drive peak times a zero coupling gives a NaN bound; a decay sum past the float range, inf
+    zero_coupling = ThreeScaleParams(
+        lambda_e=200.0, lambda_g=(0.0, 100.0), mu=(0.0, 0.0), u_amp=(1e308, 1e308),
+        detuning=(0.3, -0.2), gamma=(4.0, 6.0),
+    )
+    huge_decay = LambdaParams(detuning=(0.3, -0.2), rabi=(1.0, 0.8), gamma=(1e308, 1e308))
+    for m in (build_three_scale(zero_coupling), build_two_scale(huge_decay)):
+        with pytest.raises(ValueError, match="not finite"):
+            dt_max(m)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dt_max_is_finite_for_hamiltonians_past_half_the_float_range():
+    # H + H^dag overflowed in both, and the NaN bound let any step pass the policy
+    huge_lambda_e = ThreeScaleParams(
+        lambda_e=8.98846567431158e307, lambda_g=(0.0, 100.0), mu=(1.0, 1.0), u_amp=(0.5, 0.5),
+        detuning=(0.3, -0.2), gamma=(4.0, 6.0),
+    )
+    huge_detuning = LambdaParams(detuning=(1e308, -0.2), rabi=(1.0, 0.8), gamma=(4.0, 6.0))
+    for m in (build_three_scale(huge_lambda_e), as_lindblad(reduce_model(huge_detuning))):
+        assert 0.0 <= dt_max(m) < 1e-300
 
 
 def test_integrate_rejects_bad_inputs():
@@ -168,7 +193,7 @@ def test_sample_budget_counts_real_samples_and_decoded_states(monkeypatch):
 
 def two_level_pair():
     m_full = build_two_scale(TWO_LEVEL)
-    return m_full, as_lindblad(reduce_model(m_full))
+    return m_full, as_lindblad(reduce_model(TWO_LEVEL))
 
 
 def test_compare_full_vs_slow_grids_align():
@@ -206,7 +231,7 @@ def test_epsilon_sweep_validates_factors():
 
 def test_equilibrium_check_dark_state():
     p = LambdaParams(detuning=(0.0, 0.0), rabi=(0.8, 0.6j), gamma=(5.0, 5.0))
-    rm = reduce_model(build_two_scale(p))
+    rm = reduce_model(p)
     _, darks = bright_dark_states(p.rabi)
     d = darks[0]
     assert equilibrium_check(rm, np.outer(d, d.conj())) < 1e-13
@@ -214,7 +239,7 @@ def test_equilibrium_check_dark_state():
 
 def test_equilibrium_check_bright_state_decays():
     p = LambdaParams(detuning=(0.0, 0.0), rabi=(1.0, 1.0), gamma=(5.0, 5.0))
-    rm = reduce_model(build_two_scale(p))
+    rm = reduce_model(p)
     b, _ = bright_dark_states(p.rabi)
     assert equilibrium_check(rm, np.outer(b, b.conj())) > 1e-3
 
@@ -235,6 +260,6 @@ def test_rwa_comparison_shapes():
 
 
 def test_convergence_order_is_fourth_order():
-    m = as_lindblad(reduce_model(build_two_scale(TWO_LEVEL)))
+    m = as_lindblad(reduce_model(TWO_LEVEL))
     order = convergence_order(m, uniform_ground(2), t_end=2.0, dt0=0.02)
     assert 3.6 <= order <= 4.4
